@@ -22,8 +22,8 @@ from . import network as N
 from .config import load_config
 from .detector import DetectorConfig
 from .gan import GanConfig
-from .pipeline import (PipelineError, build_source_pairs, run_pipeline,
-                       target_pools, write_outputs)
+from .pipeline import (TRAIN_FRACTION, PipelineError, build_source_pairs,
+                       run_pipeline, target_pools, write_outputs)
 
 
 def resolve_records(tag: str) -> list:
@@ -89,11 +89,12 @@ def cmd_train_gan(args) -> int:
 
 def cmd_synthesize(args) -> int:
     out = _need_out(args, "synthesize")
-    gan_cfg, _, popts = _configs(args)
+    gan_cfg, det_cfg, popts = _configs(args)
     spec, params = model_io.load_model(args.model)
     records = resolve_records(args.data)
-    train_pool, _, _ = target_pools(records, spec.input_len, gan_cfg.seed,
-                                    fraction=popts.get("fraction", 0.71))
+    # split as train-detector and evaluate do, so no test segment is synthesized from
+    train_pool, _, _ = target_pools(records, spec.input_len, det_cfg.seed,
+                                    fraction=popts.get("fraction", TRAIN_FRACTION))
     segments = G.synthesize_faults(spec, params, train_pool, seed=gan_cfg.seed,
                                    noise_channels=spec.layers[0].in_channels - 1)
     path = os.path.join(out, "synthetic_segments.npz")
@@ -107,7 +108,7 @@ def cmd_train_detector(args) -> int:
     gan_cfg, det_cfg, popts = _configs(args)
     records = resolve_records(args.healthy)
     train_pool, _, _ = target_pools(records, det_cfg.segment_len, det_cfg.seed,
-                                    fraction=popts.get("fraction", 0.71))
+                                    fraction=popts.get("fraction", TRAIN_FRACTION))
     synthetic = dataset.load_segments(args.synthetic)
     params = D.train_detector(train_pool, synthetic, det_cfg)
     model_io.save_model(os.path.join(out, "detector.sonn"),
@@ -122,7 +123,7 @@ def cmd_evaluate(args) -> int:
     spec, params = model_io.load_model(args.model)
     records = resolve_records(args.data)
     _, test_pool, faulty = target_pools(records, spec.input_len, det_cfg.seed,
-                                        fraction=popts.get("fraction", 0.71))
+                                        fraction=popts.get("fraction", TRAIN_FRACTION))
     report = D.evaluate(spec, params, test_pool, faulty)
     path = os.path.join(out, "report.csv")
     with open(path, "w") as f:
@@ -144,7 +145,8 @@ def cmd_pipeline(args) -> int:
     result = run_pipeline(source, target, gan_cfg, det_cfg,
                           seed=args.seed if args.seed is not None else gan_cfg.seed,
                           checkpoint_mode=mode, out_dir=out,
-                          deterministic=args.deterministic)
+                          deterministic=args.deterministic,
+                          fraction=popts.get("fraction", TRAIN_FRACTION))
     print(f"report={result.paths['report']}")
     if result.report.overall_recall is not None:
         print(f"recall={result.report.overall_recall:.6f}")
@@ -169,8 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None,
                         help="key=value config file (gan.*, detector.*, pipeline.*)")
     common.add_argument("--deterministic", action="store_true",
-                        help="recorded in the run ledger; runs are seeded and "
-                             "deterministic regardless")
+                        help="recorded in the run ledger; runs are deterministic "
+                             "regardless at a fixed seed and BLAS thread count")
     common.add_argument("--out", default=None, help="output directory")
 
     p = argparse.ArgumentParser(prog="opfault",

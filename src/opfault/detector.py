@@ -137,7 +137,8 @@ def train_detector(healthy: list, faulty: list, cfg: DetectorConfig) -> list:
             if not np.all(np.isfinite(out)):
                 raise ValueError("detector training diverged (non-finite outputs)")
             grad = (2.0 * (out - tb) / out.size).astype(np.float32)
-            _, grads = N.backward_network(spec, opt.params, cache, grad)
+            _, grads = N.backward_network(spec, opt.params, cache, grad,
+                                          need_input_grad=False)
             opt.step(grads)
     return opt.params
 

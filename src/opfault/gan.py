@@ -178,7 +178,8 @@ def generator_objective(gen, gp, disc, dp, x_in, x_sig, y, cfg: GanConfig,
     grad_g += lam * np.sign(g_out - y) / np.float32(g_out.size)
     grad_sf = cfg.lambda_weight * np.sign(sf_g - sf_y) / sf_g.size
     grad_g += S.spectral_features_grad(grad_sf, s_cache)[:, None, :]
-    _, grads = N.backward_network(gen, gp, g_cache, grad_g.astype(g_out.dtype))
+    _, grads = N.backward_network(gen, gp, g_cache, grad_g.astype(g_out.dtype),
+                                  need_input_grad=False)
     return total, parts, grads
 
 
@@ -197,8 +198,10 @@ def discriminator_objective(disc, dp, x_sig, y_real, y_fake,
     d_loss = T.bce_loss(out_r, ones) + T.bce_loss(out_f, zeros)
     if not want_grads:
         return d_loss, None
-    _, grads_r = N.backward_network(disc, dp, cache_r, T.bce_grad(out_r, ones))
-    _, grads_f = N.backward_network(disc, dp, cache_f, T.bce_grad(out_f, zeros))
+    _, grads_r = N.backward_network(disc, dp, cache_r, T.bce_grad(out_r, ones),
+                                    need_input_grad=False)
+    _, grads_f = N.backward_network(disc, dp, cache_f, T.bce_grad(out_f, zeros),
+                                    need_input_grad=False)
     grads = [(gw1 + gw2, gb1 + gb2)
              for (gw1, gb1), (gw2, gb2) in zip(grads_r, grads_f)]
     return d_loss, grads

@@ -58,7 +58,7 @@ def tconv_output_len(length: int, kernel: int, stride: int, padding: int,
 
 
 def op_conv1d_forward(x, weights, bias, stride: int = 1, padding: int = 0,
-                      pows=None, want_cache: bool = False):
+                      want_cache: bool = False):
     """Operational 1D convolution. weights: (O, I, K, Q), bias: (O,) or None."""
     x3, squeeze = _ensure_3d(x)
     out_ch, in_ch, kernel, q_order = weights.shape
@@ -70,8 +70,7 @@ def op_conv1d_forward(x, weights, bias, stride: int = 1, padding: int = 0,
         raise ValueError(f"output length {out_len} < 1 for L={length} K={kernel} "
                          f"stride={stride} padding={padding}")
 
-    if pows is None:
-        pows = powers(x3, q_order)
+    pows = powers(x3, q_order)
     padded = np.pad(pows, ((0, 0), (0, 0), (0, 0), (padding, padding))) if padding else pows
     # (B, I, Q, M, K) windows, strided view; GEMM wants (B*M, I*Q*K)
     win = sliding_window_view(padded, kernel, axis=-1)[..., ::stride, :]
@@ -89,18 +88,14 @@ def op_conv1d_forward(x, weights, bias, stride: int = 1, padding: int = 0,
 
 
 def op_conv1d_backward(x, weights, grad_out, stride: int = 1, padding: int = 0,
-                       cache=None):
-    """Gradients of op_conv1d_forward: returns (grad_x, grad_weights, grad_bias)."""
+                       cache=None, need_input_grad: bool = True):
+    """Gradients of op_conv1d_forward: returns (grad_x, grad_weights, grad_bias);
+    grad_x is None when need_input_grad is false."""
     out_ch, in_ch, kernel, q_order = weights.shape
     g3, g_squeeze = _ensure_3d(grad_out)
     if cache is None:
-        x3, _ = _ensure_3d(x)
-        pows = powers(x3, q_order)
-        padded = np.pad(pows, ((0, 0), (0, 0), (0, 0), (padding, padding))) if padding else pows
-        win = sliding_window_view(padded, kernel, axis=-1)[..., ::stride, :]
-        cols = win.transpose(0, 3, 1, 2, 4).reshape(-1, in_ch * q_order * kernel)
-    else:
-        x3, pows, cols = cache
+        cache = op_conv1d_forward(x, weights, None, stride, padding, want_cache=True)[1]
+    x3, pows, cols = cache
     batch, _, length = x3.shape
     out_len = g3.shape[2]
     if g3.shape != (batch, out_ch, out_len):
@@ -110,22 +105,42 @@ def op_conv1d_backward(x, weights, grad_out, stride: int = 1, padding: int = 0,
     grad_b = g3.sum(axis=(0, 2), dtype=np.float64).astype(weights.dtype)
     grad_w = (gmat.T @ cols).reshape(out_ch, in_ch, q_order, kernel) \
         .transpose(0, 1, 3, 2).astype(weights.dtype, copy=False)
+    if not need_input_grad:
+        return None, grad_w, grad_b
 
-    wmat = weights.transpose(0, 1, 3, 2).reshape(out_ch, -1)
-    tmp = (gmat @ wmat).reshape(batch, out_len, in_ch, q_order, kernel) \
-        .transpose(0, 2, 3, 1, 4)  # (B, I, Q, M, K)
-    gpp = np.zeros((batch, in_ch, q_order, length + 2 * padding), dtype=x3.dtype)
-    for r in range(kernel):
-        gpp[..., r: r + out_len * stride: stride] += tmp[..., r]
-    gp = gpp[..., padding: padding + length] if padding else gpp
+    gp = _polyphase_input_grad(gmat.reshape(batch, out_len, out_ch), weights, stride,
+                               padding, length, x3.dtype)
     grad_x = _grad_through_powers(gp, x3, pows)
     if g_squeeze:
         grad_x = grad_x[0]
     return grad_x, grad_w, grad_b
 
 
+def _polyphase_input_grad(g_t, weights, stride, padding, length, dtype):
+    """Gradient w.r.t. the power stack, (B, I, Q, L); g_t is grad_out as (B, M, O).
+
+    Padded input position n = t*stride + p (phase p) receives sum_j g[t - j] *
+    w[p + j*stride], a stride-1 correlation with the phase's taps reversed. Zero
+    taps pad K to a multiple of the stride, so all phases share one GEMM whose
+    rows come out in position order; positions no window covers get zero."""
+    out_ch, in_ch, kernel, q_order = weights.shape
+    taps = -(-kernel // stride)
+    g_t = np.pad(g_t, ((0, 0), (taps - 1, taps - 1), (0, 0)))
+    # (B * T, taps * O) with T = M + taps - 1 full-correlation outputs
+    cols = sliding_window_view(g_t, taps, axis=1).transpose(0, 1, 3, 2) \
+        .reshape(-1, taps * out_ch)
+    wpad = np.pad(weights, ((0, 0), (0, 0), (0, taps * stride - kernel), (0, 0)))
+    # rows (j reversed, o), columns (p, i, q): w[o, i, p + (taps - 1 - j) * stride, q]
+    wmat = wpad.reshape(out_ch, in_ch, taps, stride, q_order)[:, :, ::-1] \
+        .transpose(2, 0, 3, 1, 4).reshape(taps * out_ch, stride * in_ch * q_order)
+    covered = (cols @ wmat).reshape(len(g_t), -1, in_ch, q_order)[:, padding: padding + length]
+    gp = np.zeros((len(g_t), in_ch, q_order, length), dtype=dtype)
+    gp[..., :covered.shape[1]] = covered.transpose(0, 2, 3, 1)
+    return gp
+
+
 def op_tconv1d_forward(x, weights, bias, stride: int = 1, padding: int = 0,
-                       output_trim: int = 0, pows=None, want_cache: bool = False):
+                       output_trim: int = 0, want_cache: bool = False):
     """Transposed operational 1D convolution.
 
     Scatters each input position back over a kernel-width span, summing the
@@ -145,8 +160,7 @@ def op_tconv1d_forward(x, weights, bias, stride: int = 1, padding: int = 0,
         raise ValueError(f"non-positive output length ({declared}) for L={length} "
                          f"K={kernel} stride={stride} padding={padding} trim={output_trim}")
 
-    if pows is None:
-        pows = powers(x3, q_order)
+    pows = powers(x3, q_order)
     p2 = pows.transpose(0, 3, 1, 2).reshape(batch * length, in_ch * q_order)
     wmat = weights.transpose(0, 2, 1, 3).reshape(out_ch * kernel, in_ch * q_order)
     tmp = (p2 @ wmat.T).reshape(batch, length, out_ch, kernel).transpose(0, 2, 1, 3)
@@ -172,11 +186,9 @@ def op_tconv1d_backward(x, weights, grad_out, stride: int = 1, padding: int = 0,
     out_ch, in_ch, kernel, q_order = weights.shape
     g3, g_squeeze = _ensure_3d(grad_out)
     if cache is None:
-        x3, _ = _ensure_3d(x)
-        pows = powers(x3, q_order)
-        p2 = pows.transpose(0, 3, 1, 2).reshape(-1, in_ch * q_order)
-    else:
-        x3, pows, p2 = cache
+        cache = op_tconv1d_forward(x, weights, None, stride, padding, output_trim,
+                                   want_cache=True)[1]
+    x3, pows, p2 = cache
     batch, _, length = x3.shape
     full_len = (length - 1) * stride + kernel
     nominal = full_len - 2 * padding
@@ -229,21 +241,3 @@ def dense_backward(x, weights, grad_out):
     grad_b = g2.sum(axis=0, dtype=np.float64).astype(weights.dtype)
     grad_x = g2 @ weights
     return (grad_x[0] if squeeze else grad_x), grad_w, grad_b
-
-
-def tanh_forward(x):
-    return np.tanh(x)
-
-
-def tanh_backward(x, grad_out):
-    t = np.tanh(x)
-    return grad_out * (1.0 - t * t)
-
-
-def sigmoid_forward(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-def sigmoid_backward(x, grad_out):
-    s = sigmoid_forward(x)
-    return grad_out * s * (1.0 - s)

@@ -165,7 +165,7 @@ def _activate(pre, activation):
     if activation == "tanh":
         return np.tanh(pre)
     if activation == "sigmoid":
-        return L.sigmoid_forward(pre)
+        return 1.0 / (1.0 + np.exp(-pre))
     return pre
 
 
@@ -208,14 +208,11 @@ def forward_network(spec: NetworkSpec, params: list, x, want_cache: bool = False
             pre = L.dense_forward(flat, w, b)
             cache["inp"] = flat
         elif ls.kind == "op_conv":
-            pre, lc = L.op_conv1d_forward(inp, w, b, ls.stride, ls.padding, want_cache=True)
-            cache["inp"] = inp
-            cache["lc"] = lc
+            pre, cache["lc"] = L.op_conv1d_forward(inp, w, b, ls.stride, ls.padding,
+                                                   want_cache=True)
         else:
-            pre, lc = L.op_tconv1d_forward(inp, w, b, ls.stride, ls.padding,
-                                           ls.output_trim, want_cache=True)
-            cache["inp"] = inp
-            cache["lc"] = lc
+            pre, cache["lc"] = L.op_tconv1d_forward(inp, w, b, ls.stride, ls.padding,
+                                                    ls.output_trim, want_cache=True)
         out = _activate(pre, ls.activation)
         outs.append(out)
         caches.append(cache)
@@ -227,12 +224,14 @@ def forward_network(spec: NetworkSpec, params: list, x, want_cache: bool = False
     return y
 
 
-def backward_network(spec: NetworkSpec, params: list, cache: dict, grad_out):
+def backward_network(spec: NetworkSpec, params: list, cache: dict, grad_out,
+                     need_input_grad: bool = True):
     """Backward through a cached forward pass.
 
-    Returns (grad_x, grads) with grads a list of (grad_w, grad_b) per layer.
-    Skip connections split their incoming gradient channel-wise and add the
-    tail onto the skip source.
+    Returns (grad_x, grads) with grads a list of (grad_w, grad_b) per layer;
+    grad_x is None, and an op_conv layer 0 skips it, when need_input_grad is
+    false. Skip connections split their incoming gradient channel-wise and add
+    the tail onto the skip source.
     """
     outs = cache["outs"]
     caches = cache["caches"]
@@ -255,7 +254,8 @@ def backward_network(spec: NetworkSpec, params: list, cache: dict, grad_out):
             gi = gi.reshape(lc["unflatten"])
         elif ls.kind == "op_conv":
             gi, gw, gb = L.op_conv1d_backward(None, w, g, ls.stride, ls.padding,
-                                              cache=lc["lc"])
+                                              cache=lc["lc"],
+                                              need_input_grad=need_input_grad or j > 0)
         else:
             gi, gw, gb = L.op_tconv1d_backward(None, w, g, ls.stride, ls.padding,
                                                ls.output_trim, cache=lc["lc"])
@@ -268,10 +268,10 @@ def backward_network(spec: NetworkSpec, params: list, cache: dict, grad_out):
         else:
             g_prev = gi
         if j == 0:
-            grad_x = g_prev
+            grad_x = g_prev if need_input_grad else None
         else:
             grad_buf[j - 1] = g_prev if grad_buf[j - 1] is None else grad_buf[j - 1] + g_prev
 
-    if cache["squeeze"]:
+    if cache["squeeze"] and grad_x is not None:
         grad_x = grad_x[0]
     return grad_x, grads

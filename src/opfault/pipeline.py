@@ -20,6 +20,7 @@ from . import model_io
 from .dataset import healthy_faulty_split, records_to_segments, split_segments
 
 STAGES = ("train-gan", "synthesize", "train-detector", "evaluate")
+TRAIN_FRACTION = 0.71  # share of target healthy segments for synthesis and training
 
 
 class PipelineError(RuntimeError):
@@ -49,7 +50,7 @@ def build_source_pairs(records: list, gan_cfg: G.GanConfig, seed: int):
 
 
 def target_pools(records: list, segment_len: int, seed: int,
-                 fraction: float = 0.71):
+                 fraction: float = TRAIN_FRACTION):
     """(synthesis/training healthy segments, test healthy segments, faulty
     records) for the target machine; the healthy split is stratified per
     working condition and reproducible from the seed."""
@@ -100,7 +101,8 @@ def run_pipeline(source_records: list, target_records: list,
                  det_cfg: D.DetectorConfig | None = None,
                  seed: int = 0, checkpoint_mode: str = "loss",
                  out_dir: str | None = None,
-                 deterministic: bool = False) -> PipelineResult:
+                 deterministic: bool = False,
+                 fraction: float = TRAIN_FRACTION) -> PipelineResult:
     """End-to-end run; the seed overrides both config seeds so one number
     pins every random choice. Stage failures raise PipelineError tagged with
     the stage name; a GAN divergence is not fatal, the last good checkpoint
@@ -123,7 +125,7 @@ def run_pipeline(source_records: list, target_records: list,
 
     try:
         train_pool, test_pool, target_faulty = target_pools(
-            target_records, gan_cfg.segment_len, seed)
+            target_records, gan_cfg.segment_len, seed, fraction=fraction)
         synthetic = G.synthesize_faults(gan_result.gen_spec, checkpoint.gen_params,
                                         train_pool, seed=seed,
                                         noise_channels=gan_cfg.noise_channels)

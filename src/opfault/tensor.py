@@ -17,10 +17,6 @@ import numpy as np
 BCE_EPS = 1e-7
 
 
-def as_f32(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float32)
-
-
 def require_same_shape(a: np.ndarray, b: np.ndarray, what: str = "operands"):
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch for {what}: {a.shape} vs {b.shape}")

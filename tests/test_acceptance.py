@@ -162,13 +162,12 @@ def test_criterion_02_gradient_suite_against_finite_differences():
         check(gb, loss, b, tag="dense b")
         cases += 1
 
-    for _ in range(6):  # activations
+    for _ in range(6):  # activations, as the networks apply them
         x = rng.uniform(-2, 2, (4, 7))
         r = rng.standard_normal(x.shape)
-        t_loss = lambda: float(np.sum(L.tanh_forward(x) * r))
-        check(L.tanh_backward(x, r), t_loss, x, tag="tanh")
-        s_loss = lambda: float(np.sum(L.sigmoid_forward(x) * r))
-        check(L.sigmoid_backward(x, r), s_loss, x, tag="sigmoid")
+        for act in ("tanh", "sigmoid"):
+            a_loss = lambda: float(np.sum(N._activate(x, act) * r))
+            check(N._activation_grad(N._activate(x, act), r, act), a_loss, x, tag=act)
         cases += 1
 
     for mode in ("power", "complex"):  # spectrogram path

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from opfault import layers as L
+from opfault import network as N
 
 from _utils import numerical_grad, rel_err
 
@@ -46,6 +49,23 @@ def naive_op_tconv(x, w, bias, stride=1, padding=0, trim=0):
     elif trim < 0:
         y = y[:, : y.shape[1] + trim]
     return y
+
+
+def naive_op_conv_grad_x(x, w, grad_out, stride=1, padding=0):
+    """d/dx of sum(grad_out * naive_op_conv(x, w)), for one (channels, length) x."""
+    out_ch, in_ch, kernel, q_order = w.shape
+    length = x.shape[1]
+    gx = np.zeros((in_ch, length))
+    for o in range(out_ch):
+        for m in range(grad_out.shape[1]):
+            for i in range(in_ch):
+                for r in range(kernel):
+                    n = m * stride + r - padding
+                    if not 0 <= n < length:
+                        continue
+                    for q in range(q_order):
+                        gx[i, n] += grad_out[o, m] * w[o, i, r, q] * (q + 1) * x[i, n] ** q
+    return gx
 
 
 def test_powers_stacks_monomials():
@@ -222,6 +242,70 @@ def test_backward_cache_path_matches_recompute():
         assert np.array_equal(a, bb)
 
 
+@st.composite
+def conv_geometry(draw):
+    kernel = draw(st.integers(1, 9))
+    stride = draw(st.integers(1, 5))
+    padding = draw(st.integers(0, 3))
+    min_len = max(1, kernel - 2 * padding)
+    return dict(kernel=kernel, stride=stride, padding=padding,
+                length=draw(st.integers(min_len, min_len + 3 * stride + 4)),
+                q=draw(st.integers(1, 3)), in_ch=draw(st.integers(1, 3)),
+                out_ch=draw(st.integers(1, 3)), batch=draw(st.integers(1, 2)),
+                seed=draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def _geometry(kernel, stride, padding, length):
+    return dict(kernel=kernel, stride=stride, padding=padding, length=length,
+                q=3, in_ch=2, out_ch=3, batch=2, seed=0)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(c=conv_geometry())
+@example(c=_geometry(kernel=2, stride=4, padding=0, length=13))  # K < stride, uncovered tail
+@example(c=_geometry(kernel=4, stride=4, padding=1, length=10))  # K == stride
+@example(c=_geometry(kernel=5, stride=3, padding=2, length=9))   # padded, uncovered tail
+def test_conv_input_grad_matches_naive_and_adjoint(c):
+    rng = np.random.default_rng(c["seed"])
+    x = rng.uniform(-1, 1, (c["batch"], c["in_ch"], c["length"]))
+    w = rng.normal(size=(c["out_ch"], c["in_ch"], c["kernel"], c["q"]))
+    geo = (c["stride"], c["padding"])
+    g = rng.normal(size=L.op_conv1d_forward(x, w, None, *geo).shape)
+    gx, _, _ = L.op_conv1d_backward(x, w, g, *geo)
+    ref = np.stack([naive_op_conv_grad_x(x[b], w, g[b], *geo) for b in range(c["batch"])])
+    assert np.allclose(gx, ref, rtol=1e-10, atol=1e-12), c
+
+    # at Q = 1 the conv is linear in x, so its input gradient is its adjoint
+    w1 = w[..., :1]
+    gx1, _, _ = L.op_conv1d_backward(x, w1, g, *geo)
+    assert np.vdot(g, L.op_conv1d_forward(x, w1, None, *geo)) == \
+        pytest.approx(np.vdot(gx1, x), rel=1e-10, abs=1e-12), c
+    trim = c["length"] - L.tconv_output_len(g.shape[2], c["kernel"], *geo)
+    if trim == 0 or c["padding"] == 0:  # the tconv's adjoint domain
+        for b in range(c["batch"]):
+            xt = naive_op_tconv(g[b], w1.transpose(1, 0, 2, 3), None, *geo, trim)
+            assert np.allclose(gx1[b], xt, rtol=1e-10, atol=1e-12), c
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(c=conv_geometry())
+def test_conv_backward_without_input_grad_keeps_param_grads(c):
+    rng = np.random.default_rng(c["seed"])
+    x = rng.uniform(-1, 1, (c["batch"], c["in_ch"], c["length"])).astype(np.float32)
+    w = rng.normal(size=(c["out_ch"], c["in_ch"], c["kernel"], c["q"])).astype(np.float32)
+    b = rng.normal(size=c["out_ch"]).astype(np.float32)
+    geo = (c["stride"], c["padding"])
+    y, cache = L.op_conv1d_forward(x, w, b, *geo, want_cache=True)
+    g = rng.normal(size=y.shape).astype(np.float32)
+    for kwargs in (dict(cache=cache), {}):
+        full = L.op_conv1d_backward(None if kwargs else x, w, g, *geo, **kwargs)
+        gx, gw, gb = L.op_conv1d_backward(None if kwargs else x, w, g, *geo,
+                                          need_input_grad=False, **kwargs)
+        assert gx is None and full[0] is not None
+        assert gw.dtype == full[1].dtype and np.array_equal(gw, full[1]), c
+        assert gb.dtype == full[2].dtype and np.array_equal(gb, full[2]), c
+
+
 def test_dense_hand_value_and_gradcheck():
     w = np.array([[1.0, 2.0], [0.0, -1.0]])
     b = np.array([0.5, 0.0])
@@ -247,10 +331,12 @@ def test_activation_gradients():
     rng = np.random.default_rng(45)
     x = rng.normal(size=10)
     g = rng.normal(size=10)
-    assert np.allclose(L.tanh_backward(x, g), g * (1 - np.tanh(x) ** 2))
-    s = L.sigmoid_forward(x)
-    assert np.allclose(L.sigmoid_backward(x, g), g * s * (1 - s))
-    assert L.sigmoid_forward(np.array([0.0]))[0] == pytest.approx(0.5)
+    h = 1e-6
+    for act in ("tanh", "sigmoid", "none"):
+        out = N._activate(x, act)
+        slope = (N._activate(x + h, act) - N._activate(x - h, act)) / (2 * h)
+        assert np.allclose(N._activation_grad(out, g, act), g * slope, atol=1e-8), act
+    assert N._activate(np.array([0.0]), "sigmoid")[0] == pytest.approx(0.5)
 
 
 def test_dtype_preserved():

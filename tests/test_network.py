@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from opfault import detector as D
+from opfault import gan as G
 from opfault import network as N
 
 from _utils import numerical_grad, rel_err
@@ -123,3 +127,33 @@ def test_forward_rejects_wrong_input_channels():
     params = N.init_params(spec, np.random.default_rng(0))
     with pytest.raises(ValueError):
         N.forward_network(spec, params, np.zeros((2, 16)))
+
+
+def _small_net(net, width):
+    gan_cfg = G.GanConfig(gen_width=width, disc_width=width, segment_len=64)
+    if net == "generator":
+        return G.build_generator(gan_cfg)
+    if net == "discriminator":
+        return G.build_discriminator(gan_cfg)
+    return D.build_detector(D.DetectorConfig(channels=width, dense_hidden=4, kernels=(9, 5),
+                                             strides=(4, 2), segment_len=128))
+
+
+@pytest.mark.parametrize("net", ["generator", "discriminator", "detector"])
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(width=st.integers(1, 4), batch=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+def test_backward_without_input_grad_keeps_param_grads(net, width, batch, seed):
+    spec = _small_net(net, width)
+    rng = np.random.default_rng(seed)
+    params = N.init_params(spec, rng)
+    x = rng.uniform(-1, 1, (batch, spec.layers[0].in_channels, spec.input_len))
+    x = x.astype(np.float32)
+    if batch == 1:
+        x = x[0]  # the unbatched (channels, length) path
+    out, cache = N.forward_network(spec, params, x, want_cache=True)
+    g = rng.normal(size=out.shape).astype(np.float32)
+    gx, grads = N.backward_network(spec, params, cache, g)
+    none, grads_skip = N.backward_network(spec, params, cache, g, need_input_grad=False)
+    assert gx.shape == x.shape and none is None
+    for (gw, gb), (sw, sb) in zip(grads, grads_skip):
+        assert np.array_equal(gw, sw) and np.array_equal(gb, sb)

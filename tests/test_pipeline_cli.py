@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from opfault import dataset, model_io, synth
+from opfault import network as N
 from opfault.cli import main, resolve_records
 from opfault.config import build_configs, load_config, parse_kv_text
 from opfault.detector import DetectorConfig
-from opfault.gan import GanConfig
-from opfault.pipeline import (PipelineError, build_source_pairs, run_pipeline,
-                              target_pools)
+from opfault.gan import GanConfig, build_generator
+from opfault.pipeline import (TRAIN_FRACTION, PipelineError, build_source_pairs,
+                              run_pipeline, target_pools)
 
 
 def micro_corpus(machine="M1", seed=0):
@@ -252,6 +253,37 @@ def test_cli_pipeline_command(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "report=" in stdout and "recall=" in stdout
     assert (tmp_path / "run" / "run_ledger.txt").exists()
+
+
+def test_cli_pipeline_honours_config_fraction(tmp_path, capsys):
+    src_dir, tgt_dir, cfg = _write_micro_sets(tmp_path)
+    half = tmp_path / "half.cfg"
+    half.write_text(open(cfg).read() + "pipeline.fraction=0.5\n")
+    out = tmp_path / "run"
+    assert main(["pipeline", "--source", src_dir, "--target", tgt_dir,
+                 "--config", str(half), "--seed", "3", "--out", str(out)]) == 0
+    far_row = next(ln for ln in (out / "report.csv").read_text().splitlines()
+                   if ln.startswith("far,"))
+    records, _ = dataset.load_dataset(tgt_dir)
+    held_out = lambda fraction: len(target_pools(records, 4096, 3, fraction)[1])
+    assert int(far_row.split(",")[2]) == held_out(0.5) != held_out(TRAIN_FRACTION)
+
+
+def test_cli_synthesize_splits_with_detector_seed(tmp_path):
+    _, tgt_dir, cfg = _write_micro_sets(tmp_path)
+    seeds = tmp_path / "seeds.cfg"
+    seeds.write_text(open(cfg).read() + "gan.seed=7\ndetector.seed=8\n")
+    spec = build_generator(GanConfig(gen_width=4, q=2))
+    model = str(tmp_path / "generator.sonn")
+    model_io.save_model(model, spec, N.init_params(spec, np.random.default_rng(0)))
+    syn_out = tmp_path / "syn"
+    assert main(["synthesize", "--model", model, "--data", tgt_dir,
+                 "--config", str(seeds), "--out", str(syn_out)]) == 0
+    synthetic = dataset.load_segments(str(syn_out / "synthetic_segments.npz"))
+    records, _ = dataset.load_dataset(tgt_dir)
+    _, test_pool, _ = target_pools(records, 4096, seed=8)  # what evaluate holds out
+    inputs = {(s.source_record.removeprefix("synth:"), s.index) for s in synthetic}
+    assert inputs and not inputs & {(s.source_record, s.index) for s in test_pool}
 
 
 def test_cli_error_contract(tmp_path, capsys):

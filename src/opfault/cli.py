@@ -145,7 +145,6 @@ def cmd_pipeline(args) -> int:
     result = run_pipeline(source, target, gan_cfg, det_cfg,
                           seed=args.seed if args.seed is not None else gan_cfg.seed,
                           checkpoint_mode=mode, out_dir=out,
-                          deterministic=args.deterministic,
                           fraction=popts.get("fraction", TRAIN_FRACTION))
     print(f"report={result.paths['report']}")
     if result.report.overall_recall is not None:
@@ -170,9 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override every config seed")
     common.add_argument("--config", default=None,
                         help="key=value config file (gan.*, detector.*, pipeline.*)")
-    common.add_argument("--deterministic", action="store_true",
-                        help="recorded in the run ledger; runs are deterministic "
-                             "regardless at a fixed seed and BLAS thread count")
     common.add_argument("--out", default=None, help="output directory")
 
     p = argparse.ArgumentParser(prog="opfault",

@@ -12,22 +12,29 @@ forward convolution under matching stride/padding.
 
 All ops accept (channels, length) or (batch, channels, length) arrays and
 preserve the input dtype; heavy contractions are routed through GEMM.
+Inside, every power stack is position-major: `powers` of the input
+transposed (and zero-padded on L) to (B, L, I) gives (B, L, Q, I), so the
+Q*I values of one position form one contiguous run. `_windows` copies K
+consecutive positions of such an array into one row of a GEMM matrix, as
+one contiguous run each; the conv forward windows the stack, and both
+backward passes window grad_out.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 
 def powers(x: np.ndarray, q_order: int) -> np.ndarray:
-    """Stack x^1..x^Q along a new axis 2: (B, C, L) -> (B, C, Q, L)."""
+    """Stack x^1..x^Q along a new axis 2: (B, N, C) -> (B, N, Q, C); the
+    layers pass position-major (B, L, I) input."""
     if q_order < 1:
         raise ValueError("q_order must be >= 1")
     out = np.empty(x.shape[:2] + (q_order,) + x.shape[2:], dtype=x.dtype)
     out[:, :, 0] = x
     for q in range(1, q_order):
-        out[:, :, q] = out[:, :, q - 1] * x
+        np.multiply(out[:, :, q - 1], x, out=out[:, :, q])
     return out
 
 
@@ -40,12 +47,32 @@ def _ensure_3d(x: np.ndarray):
     raise ValueError(f"expected (channels, length) or (batch, channels, length), got shape {x.shape}")
 
 
-def _grad_through_powers(gp: np.ndarray, x: np.ndarray, pows: np.ndarray) -> np.ndarray:
-    # d(x^q)/dx = q * x^(q-1); gp is (B, C, Q, L)
+def _position_major(x3: np.ndarray, padding: int = 0) -> np.ndarray:
+    """(B, C, L) -> contiguous (B, L + 2*padding, C), zero-padded on L."""
+    batch, ch, length = x3.shape
+    out = np.zeros((batch, length + 2 * padding, ch), dtype=x3.dtype)
+    out[:, padding: padding + length] = x3.transpose(0, 2, 1)
+    return out
+
+
+def _windows(a: np.ndarray, width: int, stride: int, count: int) -> np.ndarray:
+    """(B*count, width*C) matrix whose row (b, m) is a[b, m*stride: m*stride + width]
+    of a position-major (B, N, C) array. The copy is explicit: reshaping the
+    overlapping view could return it uncopied, and GEMM would then skip BLAS."""
+    a = np.ascontiguousarray(a)
+    batch, _, ch = a.shape
+    view = as_strided(a, (batch, count, width * ch),
+                      (a.strides[0], stride * a.strides[1], a.strides[2]), writeable=False)
+    return view.copy().reshape(batch * count, width * ch)
+
+
+def _grad_through_powers(gp: np.ndarray, pows: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. x of a position-major power stack: gp and pows are
+    (B, L, Q, C); d(x^q)/dx = q * x^(q-1). Returns (B, C, L)."""
     grad_x = gp[:, :, 0].copy()
     for qi in range(1, gp.shape[2]):
-        grad_x += gp[:, :, qi] * np.asarray(qi + 1, dtype=x.dtype) * pows[:, :, qi - 1]
-    return grad_x
+        grad_x += gp[:, :, qi] * np.asarray(qi + 1, dtype=pows.dtype) * pows[:, :, qi - 1]
+    return grad_x.transpose(0, 2, 1)
 
 
 def conv_output_len(length: int, kernel: int, stride: int, padding: int) -> int:
@@ -70,17 +97,13 @@ def op_conv1d_forward(x, weights, bias, stride: int = 1, padding: int = 0,
         raise ValueError(f"output length {out_len} < 1 for L={length} K={kernel} "
                          f"stride={stride} padding={padding}")
 
-    pows = powers(x3, q_order)
-    padded = np.pad(pows, ((0, 0), (0, 0), (0, 0), (padding, padding))) if padding else pows
-    # (B, I, Q, M, K) windows, strided view; GEMM wants (B*M, I*Q*K)
-    win = sliding_window_view(padded, kernel, axis=-1)[..., ::stride, :]
-    cols = win.transpose(0, 3, 1, 2, 4).reshape(batch * out_len, in_ch * q_order * kernel)
-    wmat = weights.transpose(0, 1, 3, 2).reshape(out_ch, -1)
+    pows = powers(_position_major(x3, padding), q_order)  # (B, L + 2*pad, Q, I)
+    # (B*M, K*Q*I) against weights as (O, K*Q*I)
+    cols = _windows(pows.reshape(batch, -1, q_order * in_ch), kernel, stride, out_len)
+    wmat = weights.transpose(0, 2, 3, 1).reshape(out_ch, -1)
     y = (cols @ wmat.T).reshape(batch, out_len, out_ch).transpose(0, 2, 1)
     if bias is not None:
         y = y + bias[None, :, None]
-    else:
-        y = np.ascontiguousarray(y)
     y = y[0] if squeeze else y
     if want_cache:
         return y, (x3, pows, cols)
@@ -101,41 +124,44 @@ def op_conv1d_backward(x, weights, grad_out, stride: int = 1, padding: int = 0,
     if g3.shape != (batch, out_ch, out_len):
         raise ValueError(f"grad_out shape {g3.shape} inconsistent with forward")
 
-    gmat = g3.transpose(0, 2, 1).reshape(batch * out_len, out_ch)
+    g_t = np.ascontiguousarray(g3.transpose(0, 2, 1))  # (B, M, O)
     grad_b = g3.sum(axis=(0, 2), dtype=np.float64).astype(weights.dtype)
-    grad_w = (gmat.T @ cols).reshape(out_ch, in_ch, q_order, kernel) \
-        .transpose(0, 1, 3, 2).astype(weights.dtype, copy=False)
+    grad_w = (g_t.reshape(-1, out_ch).T @ cols).reshape(out_ch, kernel, q_order, in_ch) \
+        .transpose(0, 3, 1, 2).astype(weights.dtype, copy=False)
     if not need_input_grad:
         return None, grad_w, grad_b
 
-    gp = _polyphase_input_grad(gmat.reshape(batch, out_len, out_ch), weights, stride,
-                               padding, length, x3.dtype)
-    grad_x = _grad_through_powers(gp, x3, pows)
+    gp = _polyphase_input_grad(g_t, weights, stride, padding, length)
+    grad_x = _grad_through_powers(gp, pows[:, padding: padding + length])
     if g_squeeze:
         grad_x = grad_x[0]
     return grad_x, grad_w, grad_b
 
 
-def _polyphase_input_grad(g_t, weights, stride, padding, length, dtype):
-    """Gradient w.r.t. the power stack, (B, I, Q, L); g_t is grad_out as (B, M, O).
+def _polyphase_input_grad(g_t, weights, stride, padding, length):
+    """Gradient w.r.t. the position-major power stack, (B, L, Q, I); g_t is
+    grad_out as (B, M, O).
 
     Padded input position n = t*stride + p (phase p) receives sum_j g[t - j] *
     w[p + j*stride], a stride-1 correlation with the phase's taps reversed. Zero
     taps pad K to a multiple of the stride, so all phases share one GEMM whose
-    rows come out in position order; positions no window covers get zero."""
+    rows come out position-major; positions no window covers get zero."""
     out_ch, in_ch, kernel, q_order = weights.shape
+    batch, out_len, _ = g_t.shape
     taps = -(-kernel // stride)
+    count = out_len + taps - 1  # full-correlation outputs per batch item
     g_t = np.pad(g_t, ((0, 0), (taps - 1, taps - 1), (0, 0)))
-    # (B * T, taps * O) with T = M + taps - 1 full-correlation outputs
-    cols = sliding_window_view(g_t, taps, axis=1).transpose(0, 1, 3, 2) \
-        .reshape(-1, taps * out_ch)
+    cols = _windows(g_t, taps, 1, count)  # (B*count, taps*O)
     wpad = np.pad(weights, ((0, 0), (0, 0), (0, taps * stride - kernel), (0, 0)))
-    # rows (j reversed, o), columns (p, i, q): w[o, i, p + (taps - 1 - j) * stride, q]
+    # rows (j reversed, o), columns (p, q, i): w[o, i, p + (taps - 1 - j) * stride, q]
     wmat = wpad.reshape(out_ch, in_ch, taps, stride, q_order)[:, :, ::-1] \
-        .transpose(2, 0, 3, 1, 4).reshape(taps * out_ch, stride * in_ch * q_order)
-    covered = (cols @ wmat).reshape(len(g_t), -1, in_ch, q_order)[:, padding: padding + length]
-    gp = np.zeros((len(g_t), in_ch, q_order, length), dtype=dtype)
-    gp[..., :covered.shape[1]] = covered.transpose(0, 2, 3, 1)
+        .transpose(2, 0, 3, 4, 1).reshape(taps * out_ch, stride * q_order * in_ch)
+    covered = (cols @ wmat).reshape(batch, count * stride, q_order, in_ch)
+    covered = covered[:, padding: padding + length]
+    if covered.shape[1] == length:
+        return covered
+    gp = np.zeros((batch, length, q_order, in_ch), dtype=covered.dtype)
+    gp[:, :covered.shape[1]] = covered
     return gp
 
 
@@ -160,23 +186,22 @@ def op_tconv1d_forward(x, weights, bias, stride: int = 1, padding: int = 0,
         raise ValueError(f"non-positive output length ({declared}) for L={length} "
                          f"K={kernel} stride={stride} padding={padding} trim={output_trim}")
 
-    pows = powers(x3, q_order)
-    p2 = pows.transpose(0, 3, 1, 2).reshape(batch * length, in_ch * q_order)
-    wmat = weights.transpose(0, 2, 1, 3).reshape(out_ch * kernel, in_ch * q_order)
-    tmp = (p2 @ wmat.T).reshape(batch, length, out_ch, kernel).transpose(0, 2, 1, 3)
-    full = np.zeros((batch, out_ch, full_len), dtype=x3.dtype)
+    pows = powers(_position_major(x3), q_order)  # (B, L, Q, I)
+    wmat = weights.transpose(2, 0, 3, 1).reshape(kernel * out_ch, -1)  # (K*O, Q*I)
+    tmp = (pows.reshape(batch * length, -1) @ wmat.T).reshape(batch, length, kernel, out_ch)
+    # a positive trim extends the output past the right crop; that tail is
+    # zero and gets no bias
+    full = np.zeros((batch, max(full_len, padding + declared), out_ch), dtype=x3.dtype)
     for r in range(kernel):
-        full[..., r: r + length * stride: stride] += tmp[..., r]
-    y = full[..., padding: full_len - padding] if padding else full
+        full[:, r: r + length * stride: stride] += tmp[:, :, r]
+    y = full[:, padding: padding + declared]
+    y[:, nominal:] = 0
     if bias is not None:
-        y = y + bias[None, :, None]
-    if output_trim > 0:
-        y = np.pad(y, ((0, 0), (0, 0), (0, output_trim)))
-    elif output_trim < 0:
-        y = y[..., :declared]
+        y[:, :nominal] += bias
+    y = y.transpose(0, 2, 1)
     y = y[0] if squeeze else y
     if want_cache:
-        return y, (x3, pows, p2)
+        return y, (x3, pows)
     return y
 
 
@@ -188,30 +213,23 @@ def op_tconv1d_backward(x, weights, grad_out, stride: int = 1, padding: int = 0,
     if cache is None:
         cache = op_tconv1d_forward(x, weights, None, stride, padding, output_trim,
                                    want_cache=True)[1]
-    x3, pows, p2 = cache
+    x3, pows = cache
     batch, _, length = x3.shape
     full_len = (length - 1) * stride + kernel
-    nominal = full_len - 2 * padding
 
-    # Undo trim, then bias sees the nominal span only.
-    g_nom = g3[..., :nominal] if output_trim > 0 else g3
-    if output_trim < 0:
-        g_nom = np.pad(g_nom, ((0, 0), (0, 0), (0, -output_trim)))
-    grad_b = g_nom.sum(axis=(0, 2), dtype=np.float64).astype(weights.dtype)
+    # Undo trim and padding: bias and taps see the nominal span only.
+    kept = g3[..., :full_len - 2 * padding]
+    grad_b = kept.sum(axis=(0, 2), dtype=np.float64).astype(weights.dtype)
+    g_full = np.zeros((batch, full_len, out_ch), dtype=g3.dtype)
+    g_full[:, padding: padding + kept.shape[2]] = kept.transpose(0, 2, 1)
+    g2 = _windows(g_full, kernel, stride, length)  # (B*L, K*O)
 
-    if padding:
-        g_full = np.zeros((batch, out_ch, full_len), dtype=g3.dtype)
-        g_full[..., padding: full_len - padding] = g_nom
-    else:
-        g_full = g_nom
-    gw_win = sliding_window_view(g_full, kernel, axis=-1)[..., ::stride, :]  # (B, O, L, K)
-    g2 = gw_win.transpose(0, 2, 1, 3).reshape(batch * length, out_ch * kernel)
-
-    wmat = weights.transpose(0, 2, 1, 3).reshape(out_ch * kernel, in_ch * q_order)
-    grad_w = (g2.T @ p2).reshape(out_ch, kernel, in_ch, q_order) \
-        .transpose(0, 2, 1, 3).astype(weights.dtype, copy=False)
-    gp = (g2 @ wmat).reshape(batch, length, in_ch, q_order).transpose(0, 2, 3, 1)
-    grad_x = _grad_through_powers(gp, x3, pows)
+    grad_w = (g2.T @ pows.reshape(batch * length, -1)) \
+        .reshape(kernel, out_ch, q_order, in_ch).transpose(1, 3, 0, 2) \
+        .astype(weights.dtype, copy=False)
+    wmat = weights.transpose(2, 0, 3, 1).reshape(kernel * out_ch, -1)
+    gp = (g2 @ wmat).reshape(batch, length, q_order, in_ch)
+    grad_x = _grad_through_powers(gp, pows)
     if g_squeeze:
         grad_x = grad_x[0]
     return grad_x, grad_w, grad_b

@@ -178,7 +178,10 @@ def _activation_grad(out, grad, activation):
 
 
 def forward_network(spec: NetworkSpec, params: list, x, want_cache: bool = False):
-    """Composed forward pass. x: (C, L) or (B, C, L); returns same rank."""
+    """Composed forward pass. x: (C, L) or (B, C, L); returns same rank.
+
+    Layer caches (power stacks, window matrices) are built and kept only
+    when want_cache is true."""
     if len(params) != len(spec.layers):
         raise ValueError("params list does not match layer count")
     x = np.asarray(x)
@@ -208,14 +211,16 @@ def forward_network(spec: NetworkSpec, params: list, x, want_cache: bool = False
             pre = L.dense_forward(flat, w, b)
             cache["inp"] = flat
         elif ls.kind == "op_conv":
-            pre, cache["lc"] = L.op_conv1d_forward(inp, w, b, ls.stride, ls.padding,
-                                                   want_cache=True)
+            pre = L.op_conv1d_forward(inp, w, b, ls.stride, ls.padding,
+                                      want_cache=want_cache)
         else:
-            pre, cache["lc"] = L.op_tconv1d_forward(inp, w, b, ls.stride, ls.padding,
-                                                    ls.output_trim, want_cache=True)
-        out = _activate(pre, ls.activation)
-        outs.append(out)
-        caches.append(cache)
+            pre = L.op_tconv1d_forward(inp, w, b, ls.stride, ls.padding,
+                                       ls.output_trim, want_cache=want_cache)
+        if want_cache and ls.kind != "dense":
+            pre, cache["lc"] = pre
+        outs.append(_activate(pre, ls.activation))
+        if want_cache:
+            caches.append(cache)
     y = outs[-1]
     if squeeze:
         y = y[0]

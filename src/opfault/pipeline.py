@@ -73,7 +73,7 @@ class PipelineResult:
     paths: dict
 
 
-def _ledger_text(gan_cfg, det_cfg, seed, mode, deterministic, checkpoint,
+def _ledger_text(gan_cfg, det_cfg, seed, mode, checkpoint,
                  diverged, holdout, n_source, n_target) -> str:
     entries = {}
     for prefix, cfg in (("gan", gan_cfg), ("detector", det_cfg)):
@@ -82,7 +82,6 @@ def _ledger_text(gan_cfg, det_cfg, seed, mode, deterministic, checkpoint,
     entries.update({
         "pipeline.seed": seed,
         "pipeline.checkpoint_mode": mode,
-        "pipeline.deterministic": deterministic,
         "pipeline.holdout_speed": holdout,
         "pipeline.source_records": n_source,
         "pipeline.target_records": n_target,
@@ -101,7 +100,6 @@ def run_pipeline(source_records: list, target_records: list,
                  det_cfg: D.DetectorConfig | None = None,
                  seed: int = 0, checkpoint_mode: str = "loss",
                  out_dir: str | None = None,
-                 deterministic: bool = False,
                  fraction: float = TRAIN_FRACTION) -> PipelineResult:
     """End-to-end run; the seed overrides both config seeds so one number
     pins every random choice. Stage failures raise PipelineError tagged with
@@ -143,8 +141,8 @@ def run_pipeline(source_records: list, target_records: list,
     except Exception as e:
         raise PipelineError(STAGES[3], str(e)) from e
 
-    ledger = _ledger_text(gan_cfg, det_cfg, seed, checkpoint_mode, deterministic,
-                          checkpoint, gan_result.diverged, holdout,
+    ledger = _ledger_text(gan_cfg, det_cfg, seed, checkpoint_mode, checkpoint,
+                          gan_result.diverged, holdout,
                           len(source_records), len(target_records))
     result = PipelineResult(report=report, ledger_text=ledger,
                             gan_result=gan_result, checkpoint=checkpoint,

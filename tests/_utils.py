@@ -1,6 +1,12 @@
-"""Shared test helpers: central-difference gradients and error metrics."""
+"""Shared test helpers: central-difference gradients, error metrics and the
+criterion-10 micro pipeline run."""
 
 import numpy as np
+
+from opfault.detector import DetectorConfig
+from opfault.gan import GanConfig
+from opfault.pipeline import run_pipeline
+from opfault.synth import DEFAULT_MACHINES, build_corpus
 
 
 def numerical_grad(f, x, h=1e-3):
@@ -29,3 +35,20 @@ def rel_err(analytic, numeric):
     n = np.asarray(numeric, dtype=np.float64).ravel()
     denom = max(np.linalg.norm(a) + np.linalg.norm(n), 1e-12)
     return float(np.linalg.norm(a - n) / denom)
+
+
+CRITERION_10_FILES = ("report.csv", "generator.sonn", "detector.sonn",
+                      "gan_metrics.csv", "run_ledger.txt")
+
+
+def criterion_10_run(out_dir, seed=5):
+    """The criterion-10 micro pipeline: two-speed M1/M2 corpora, width-4 GAN
+    and detector, two GAN iterations and two detector epochs; writes the
+    CRITERION_10_FILES into out_dir."""
+    source, target = (build_corpus(DEFAULT_MACHINES[m], speeds=(400.0, 800.0), load=0.1,
+                                   healthy_duration_s=4.0, faulty_duration_s=2.0,
+                                   defects=(1.2, 1.8), seed=0) for m in ("M1", "M2"))
+    gan_cfg = GanConfig(gen_width=4, disc_width=4, q=2, batch=4, max_iters=2,
+                        checkpoint_every=1, lr=1e-3)
+    det_cfg = DetectorConfig(channels=4, dense_hidden=8, epochs=2, batch=8, q=2)
+    run_pipeline(source, target, gan_cfg, det_cfg, seed=seed, out_dir=str(out_dir))

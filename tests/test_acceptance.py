@@ -6,7 +6,11 @@ run single-threaded desk-scale configurations and stay well inside
 their wall-clock budgets.
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -22,9 +26,9 @@ from opfault.gan import (GanConfig, TrainPair, build_discriminator,
                          generator_objective, select_checkpoint,
                          synthesize_faults, train_opgan)
 from opfault.pipeline import run_pipeline
-from opfault.synth import DEFAULT_MACHINES, build_corpus, default_corpus
+from opfault.synth import default_corpus
 
-from _utils import numerical_grad, rel_err
+from _utils import CRITERION_10_FILES, criterion_10_run, numerical_grad, rel_err
 
 
 # ------------------------------------------------------------------ references
@@ -422,28 +426,35 @@ def test_criterion_09_metrics_arithmetic_from_published_counts():
 
 
 def test_criterion_10_pipeline_determinism(tmp_path):
-    params = DEFAULT_MACHINES
-    source = build_corpus(params["M1"], speeds=(400.0, 800.0), load=0.1,
-                          healthy_duration_s=4.0, faulty_duration_s=2.0,
-                          defects=(1.2, 1.8), seed=0)
-    target = build_corpus(params["M2"], speeds=(400.0, 800.0), load=0.1,
-                          healthy_duration_s=4.0, faulty_duration_s=2.0,
-                          defects=(1.2, 1.8), seed=0)
-    gan_cfg = GanConfig(gen_width=4, disc_width=4, q=2, batch=4, max_iters=2,
-                        checkpoint_every=1, lr=1e-3)
-    det_cfg = DetectorConfig(channels=4, dense_hidden=8, epochs=2, batch=8, q=2)
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
-        run_pipeline(source, target, gan_cfg, det_cfg, seed=5, out_dir=str(out))
+        criterion_10_run(out, seed=5)
         outs.append(out)
-    for fname in ("report.csv", "generator.sonn", "detector.sonn",
-                  "gan_metrics.csv", "run_ledger.txt"):
+    for fname in CRITERION_10_FILES:
         b1 = (outs[0] / fname).read_bytes()
         b2 = (outs[1] / fname).read_bytes()
         assert b1 == b2, f"{fname} differs between identical runs"
     print("PASS criterion 10: identical seeds give byte-identical reports "
           "and model files")
+
+
+def test_criterion_10_determinism_across_processes(tmp_path):
+    # Two fresh interpreters, each pinned to one OpenBLAS thread, since the
+    # bytes depend on the BLAS thread count; this process keeps its own.
+    here = Path(__file__).resolve().parent
+    child = ("import sys; sys.path[:0] = sys.argv[1:3]; "
+             "from _utils import criterion_10_run; criterion_10_run(sys.argv[3])")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    outs = [tmp_path / name for name in ("a", "b")]
+    for out in outs:
+        subprocess.run([sys.executable, "-c", child, str(here), str(here.parent / "src"),
+                        str(out)], env=env, check=True, timeout=900)
+    for fname in CRITERION_10_FILES:
+        assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes(), \
+            f"{fname} differs between processes at OPENBLAS_NUM_THREADS=1"
+    print("PASS criterion 10 across processes: byte-identical outputs at one "
+          "BLAS thread")
 
 
 def test_criterion_11_record_rule_property():

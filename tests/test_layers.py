@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from opfault import layers as L
@@ -255,9 +255,9 @@ def conv_geometry(draw):
                 seed=draw(st.integers(0, 2 ** 32 - 1)))
 
 
-def _geometry(kernel, stride, padding, length):
+def _geometry(kernel, stride, padding, length, trim=0, batch=2):
     return dict(kernel=kernel, stride=stride, padding=padding, length=length,
-                q=3, in_ch=2, out_ch=3, batch=2, seed=0)
+                q=3, in_ch=2, out_ch=3, batch=batch, seed=0, trim=trim)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -304,6 +304,101 @@ def test_conv_backward_without_input_grad_keeps_param_grads(c):
         assert gx is None and full[0] is not None
         assert gw.dtype == full[1].dtype and np.array_equal(gw, full[1]), c
         assert gb.dtype == full[2].dtype and np.array_equal(gb, full[2]), c
+
+
+@st.composite
+def layer_geometry(draw):
+    c = draw(conv_geometry())
+    c["trim"] = draw(st.integers(-3, 3))
+    return c
+
+
+def _tconv_trim(c):
+    """The drawn trim, raised so the tconv output keeps at least one sample;
+    rejects geometries whose nominal tconv output is empty."""
+    nominal = L.tconv_output_len(c["length"], c["kernel"], c["stride"], c["padding"])
+    assume(nominal >= 1)
+    return max(c["trim"], 1 - nominal)
+
+
+def _layer_case(c):
+    rng = np.random.default_rng(c["seed"])
+    x = rng.uniform(-1, 1, (c["batch"], c["in_ch"], c["length"]))
+    w = rng.normal(scale=0.5, size=(c["out_ch"], c["in_ch"], c["kernel"], c["q"]))
+    b = rng.normal(size=c["out_ch"])
+    return rng, x, w, b
+
+
+_EXAMPLES = (
+    _geometry(kernel=5, stride=2, padding=2, length=7, trim=1, batch=1),  # batch 1
+    _geometry(kernel=2, stride=4, padding=0, length=6, trim=-2),          # K < stride
+    _geometry(kernel=4, stride=4, padding=1, length=5, trim=0),           # K == stride
+    _geometry(kernel=1, stride=3, padding=0, length=4, trim=3, batch=1),  # K < stride, batch 1
+)
+
+
+def _with_examples(test):
+    for c in _EXAMPLES:
+        test = example(c=c)(test)
+    return test
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(c=layer_geometry())
+@_with_examples
+def test_conv_and_tconv_forward_match_naive_and_adjoint(c):
+    rng, x, w, b = _layer_case(c)
+    geo = (c["stride"], c["padding"])
+    trim = _tconv_trim(c)
+    y = L.op_conv1d_forward(x, w, b, *geo)
+    yt = L.op_tconv1d_forward(x, w, b, *geo, trim)
+    for k in range(c["batch"]):
+        assert np.allclose(y[k], naive_op_conv(x[k], w, b, *geo), rtol=1e-10, atol=1e-12), c
+        ref_t = naive_op_tconv(x[k], w, b, *geo, trim)
+        assert yt[k].shape == ref_t.shape, c
+        assert np.allclose(yt[k], ref_t, rtol=1e-10, atol=1e-12), c
+    if c["batch"] == 1:  # the unbatched (channels, length) form agrees
+        assert np.array_equal(L.op_conv1d_forward(x[0], w, b, *geo), y[0])
+        assert np.array_equal(L.op_tconv1d_forward(x[0], w, b, *geo, trim), yt[0])
+
+    # Q = 1: <conv(x), u> == <x, tconv(u)> when the tconv trim restores the
+    # input length and the symmetric crop drops no real sample
+    w1 = w[..., :1]
+    u = rng.normal(size=y.shape)
+    adj_trim = c["length"] - L.tconv_output_len(y.shape[2], c["kernel"], *geo)
+    if adj_trim == 0 or c["padding"] == 0:
+        xt = L.op_tconv1d_forward(u, w1.transpose(1, 0, 2, 3), None, *geo, adj_trim)
+        assert xt.shape == x.shape
+        assert np.vdot(L.op_conv1d_forward(x, w1, None, *geo), u) == \
+            pytest.approx(np.vdot(x, xt), rel=1e-10, abs=1e-12), c
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(c=layer_geometry())
+@_with_examples
+def test_layer_grads_match_central_differences(c):
+    rng, x, w, b = _layer_case(c)
+    geo = (c["stride"], c["padding"])
+    trim = _tconv_trim(c)
+
+    proj = rng.normal(size=L.op_conv1d_forward(x, w, b, *geo).shape)
+    _, gw, gb = L.op_conv1d_backward(x, w, proj, *geo)
+
+    def conv_loss():
+        return _proj_loss(L.op_conv1d_forward(x, w, b, *geo), proj)
+
+    assert rel_err(gw, numerical_grad(conv_loss, w, h=1e-5)) < 1e-7, c
+    assert rel_err(gb, numerical_grad(conv_loss, b, h=1e-5)) < 1e-7, c
+
+    proj = rng.normal(size=L.op_tconv1d_forward(x, w, b, *geo, trim).shape)
+    gx, gw, gb = L.op_tconv1d_backward(x, w, proj, *geo, trim)
+
+    def tconv_loss():
+        return _proj_loss(L.op_tconv1d_forward(x, w, b, *geo, trim), proj)
+
+    assert rel_err(gx, numerical_grad(tconv_loss, x, h=1e-5)) < 1e-7, c
+    assert rel_err(gw, numerical_grad(tconv_loss, w, h=1e-5)) < 1e-7, c
+    assert rel_err(gb, numerical_grad(tconv_loss, b, h=1e-5)) < 1e-7, c
 
 
 def test_dense_hand_value_and_gradcheck():

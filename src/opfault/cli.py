@@ -143,7 +143,7 @@ def cmd_pipeline(args) -> int:
     target = resolve_records(args.target)
     mode = args.checkpoint_mode or popts.get("checkpoint_mode", "loss")
     result = run_pipeline(source, target, gan_cfg, det_cfg,
-                          seed=args.seed if args.seed is not None else gan_cfg.seed,
+                          seed=args.seed,
                           checkpoint_mode=mode, out_dir=out,
                           fraction=popts.get("fraction", TRAIN_FRACTION))
     print(f"report={result.paths['report']}")

@@ -3,19 +3,29 @@
 A NetworkSpec is an ordered layer list plus named skip connections
 (source layer output concatenated onto a later layer's input, channel-wise).
 Parameters live outside the spec as a list of (weights, bias) pairs in layer
-order, so specs stay cheap to build, count and serialize.
+order, so specs stay cheap to build, count and serialize. A pass over a
+batch of two or more rows runs its two halves on two threads.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import blas
 from . import layers as L
 
 LAYER_KINDS = ("op_conv", "op_tconv", "dense")
 ACTIVATIONS = ("tanh", "sigmoid", "none")
+
+# Batch shards per pass. Part of the math, not of the worker count: the
+# shards give the same bytes whichever thread runs them.
+SHARDS = 2
+_pool = None           # runs shard 1; made on the first sharded pass
+_pool_lock = threading.Lock()
+_blas_pinned = False   # set by the first pass of any size
 
 
 @dataclass(frozen=True)
@@ -180,8 +190,10 @@ def _activation_grad(out, grad, activation):
 def forward_network(spec: NetworkSpec, params: list, x, want_cache: bool = False):
     """Composed forward pass. x: (C, L) or (B, C, L); returns same rank.
 
-    Layer caches (power stacks, window matrices) are built and kept only
-    when want_cache is true."""
+    A batch of two or more runs as two contiguous shards of ceil(B/2) and
+    floor(B/2) rows, the second on a worker thread; the outputs are
+    concatenated in shard order. Layer caches (power stacks, window
+    matrices) are built and kept only when want_cache is true."""
     if len(params) != len(spec.layers):
         raise ValueError("params list does not match layer count")
     x = np.asarray(x)
@@ -190,6 +202,26 @@ def forward_network(spec: NetworkSpec, params: list, x, want_cache: bool = False
     if h.shape[1] != spec.layers[0].in_channels:
         raise ValueError(f"input has {h.shape[1]} channels, "
                          f"network expects {spec.layers[0].in_channels}")
+    if not _blas_pinned:
+        _pin_blas()
+    if len(h) < SHARDS:
+        y, shard_cache = _forward(spec, params, h, want_cache)
+        shards = [shard_cache]
+    else:
+        half = -(-len(h) // SHARDS)
+        (y0, c0), (y1, c1) = _run_shards(_forward, (spec, params, h[:half], want_cache),
+                                         (spec, params, h[half:], want_cache))
+        y = np.concatenate([y0, y1])
+        shards = [c0, c1]
+    if squeeze:
+        y = y[0]
+    if want_cache:
+        return y, {"shards": shards, "squeeze": squeeze}
+    return y
+
+
+def _forward(spec, params, h, want_cache):
+    """Serial forward of one (B, C, L) shard: (output, shard cache or None)."""
     outs = []
     caches = []
     for j, (ls, (w, b)) in enumerate(zip(spec.layers, params)):
@@ -221,12 +253,7 @@ def forward_network(spec: NetworkSpec, params: list, x, want_cache: bool = False
         outs.append(_activate(pre, ls.activation))
         if want_cache:
             caches.append(cache)
-    y = outs[-1]
-    if squeeze:
-        y = y[0]
-    if want_cache:
-        return y, {"outs": outs, "caches": caches, "squeeze": squeeze, "x": h}
-    return y
+    return outs[-1], ({"outs": outs, "caches": caches} if want_cache else None)
 
 
 def backward_network(spec: NetworkSpec, params: list, cache: dict, grad_out,
@@ -236,14 +263,33 @@ def backward_network(spec: NetworkSpec, params: list, cache: dict, grad_out,
     Returns (grad_x, grads) with grads a list of (grad_w, grad_b) per layer;
     grad_x is None, and an op_conv layer 0 skips it, when need_input_grad is
     false. Skip connections split their incoming gradient channel-wise and add
-    the tail onto the skip source.
+    the tail onto the skip source. A sharded forward is undone shard by
+    shard: parameter gradients are summed as shard 0 + shard 1 and the
+    input gradients concatenated.
     """
-    outs = cache["outs"]
-    caches = cache["caches"]
-    n = len(spec.layers)
     grad_out = np.asarray(grad_out)
     if cache["squeeze"]:
         grad_out = grad_out[None]
+    shards = cache["shards"]
+    if len(shards) == 1:
+        grad_x, grads = _backward(spec, params, shards[0], grad_out, need_input_grad)
+    else:
+        half = len(shards[0]["outs"][-1])
+        (gx0, g0), (gx1, g1) = _run_shards(
+            _backward, (spec, params, shards[0], grad_out[:half], need_input_grad),
+            (spec, params, shards[1], grad_out[half:], need_input_grad))
+        grads = [(w0 + w1, b0 + b1) for (w0, b0), (w1, b1) in zip(g0, g1)]
+        grad_x = None if gx0 is None else np.concatenate([gx0, gx1])
+    if cache["squeeze"] and grad_x is not None:
+        grad_x = grad_x[0]
+    return grad_x, grads
+
+
+def _backward(spec, params, cache, grad_out, need_input_grad):
+    """Serial backward of one shard: (grad_x or None, grads)."""
+    outs = cache["outs"]
+    caches = cache["caches"]
+    n = len(spec.layers)
     grad_buf = [None] * n
     grad_buf[n - 1] = grad_out
     grad_x = None
@@ -276,7 +322,38 @@ def backward_network(spec: NetworkSpec, params: list, cache: dict, grad_out,
             grad_x = g_prev if need_input_grad else None
         else:
             grad_buf[j - 1] = g_prev if grad_buf[j - 1] is None else grad_buf[j - 1] + g_prev
-
-    if cache["squeeze"] and grad_x is not None:
-        grad_x = grad_x[0]
     return grad_x, grads
+
+
+def _pin_blas():
+    """One BLAS thread per shard, so two shards fill two cores without
+    oversubscribing them and the bytes do not depend on the environment."""
+    global _blas_pinned
+    blas.pin_threads(1)
+    _blas_pinned = True
+
+
+def _shard_pool():
+    global _pool
+    with _pool_lock:  # callers on several threads share one pool
+        if _pool is None:
+            # imported on first use: concurrent.futures loads logging,
+            # which nothing before the first sharded pass needs
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="opfault-shard")
+        return _pool
+
+
+def _run_shards(fn, args0, args1):
+    """(fn(*args0), fn(*args1)): shard 1 on the pool, shard 0 here.
+
+    fn must not itself submit to the one-worker pool. When shard 0 raises,
+    shard 1 is waited for first; an exception of shard 1 reaches the caller
+    through its result."""
+    future = _shard_pool().submit(fn, *args1)
+    try:
+        r0 = fn(*args0)
+    except BaseException:
+        future.exception()  # waits for shard 1 without raising its error
+        raise
+    return r0, future.result()

@@ -12,11 +12,15 @@ data is ever seen before stage 4.
 from __future__ import annotations
 
 import os
+import platform
 from dataclasses import asdict, dataclass, replace
 
+import numpy as np
+
+from . import blas, model_io
 from . import detector as D
 from . import gan as G
-from . import model_io
+from . import network as N
 from .dataset import healthy_faulty_split, records_to_segments, split_segments
 
 STAGES = ("train-gan", "synthesize", "train-detector", "evaluate")
@@ -88,7 +92,12 @@ def _ledger_text(gan_cfg, det_cfg, seed, mode, checkpoint,
         "checkpoint.iteration": checkpoint.iteration,
         "checkpoint.val_loss": repr(checkpoint.val_loss),
         "gan.diverged": diverged,
+        # what produced the bytes; the BLAS thread count is the one in effect
+        "env.python": platform.python_version(),
+        "env.numpy": np.__version__,
+        "env.shards": N.SHARDS,
     })
+    entries.update((f"env.{k}", v) for k, v in blas.describe().items())
     if checkpoint.val_detection is not None:
         entries["checkpoint.val_detection"] = repr(checkpoint.val_detection)
     lines = [f"{k}={entries[k]}" for k in sorted(entries)]
@@ -98,24 +107,30 @@ def _ledger_text(gan_cfg, det_cfg, seed, mode, checkpoint,
 def run_pipeline(source_records: list, target_records: list,
                  gan_cfg: G.GanConfig | None = None,
                  det_cfg: D.DetectorConfig | None = None,
-                 seed: int = 0, checkpoint_mode: str = "loss",
+                 seed: int | None = None, checkpoint_mode: str = "loss",
                  out_dir: str | None = None,
                  fraction: float = TRAIN_FRACTION) -> PipelineResult:
-    """End-to-end run; the seed overrides both config seeds so one number
-    pins every random choice. Stage failures raise PipelineError tagged with
-    the stage name; a GAN divergence is not fatal, the last good checkpoint
-    carries the remaining stages."""
-    gan_cfg = replace(gan_cfg or G.GanConfig(), seed=seed).validate()
-    det_cfg = replace(det_cfg or D.DetectorConfig(), seed=seed).validate()
+    """End-to-end run. An int seed overrides both config seeds so one number
+    pins every random choice; with None, the GAN stages draw from gan.seed
+    and the target split and detector from detector.seed, as the stage
+    commands do. Stage failures raise PipelineError tagged with the stage
+    name; a GAN divergence is not fatal, the last good checkpoint carries
+    the remaining stages."""
+    gan_cfg = gan_cfg or G.GanConfig()
+    det_cfg = det_cfg or D.DetectorConfig()
+    if seed is not None:
+        gan_cfg, det_cfg = replace(gan_cfg, seed=seed), replace(det_cfg, seed=seed)
+    gan_cfg, det_cfg = gan_cfg.validate(), det_cfg.validate()
     if det_cfg.segment_len != gan_cfg.segment_len:
         raise PipelineError("config", "generator and detector segment_len differ")
 
     try:
-        pairs, val_pairs, holdout = build_source_pairs(source_records, gan_cfg, seed)
+        pairs, val_pairs, holdout = build_source_pairs(source_records, gan_cfg,
+                                                       gan_cfg.seed)
         gan_result = G.train_opgan(pairs, val_pairs, gan_cfg)
         checkpoint = G.select_checkpoint(
             gan_result.checkpoints, val_pairs, mode=checkpoint_mode,
-            gan_cfg=gan_cfg, seed=seed)
+            gan_cfg=gan_cfg, seed=gan_cfg.seed)
     except PipelineError:
         raise
     except Exception as e:
@@ -123,9 +138,9 @@ def run_pipeline(source_records: list, target_records: list,
 
     try:
         train_pool, test_pool, target_faulty = target_pools(
-            target_records, gan_cfg.segment_len, seed, fraction=fraction)
+            target_records, det_cfg.segment_len, det_cfg.seed, fraction=fraction)
         synthetic = G.synthesize_faults(gan_result.gen_spec, checkpoint.gen_params,
-                                        train_pool, seed=seed,
+                                        train_pool, seed=gan_cfg.seed,
                                         noise_channels=gan_cfg.noise_channels)
     except Exception as e:
         raise PipelineError(STAGES[1], str(e)) from e

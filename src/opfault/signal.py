@@ -79,22 +79,6 @@ def hann_window(n: int = SPEC_WINDOW) -> np.ndarray:
     return np.hanning(n)
 
 
-def naive_dft(x) -> np.ndarray:
-    """Textbook O(N^2) DFT, one-sided bins. Deliberately written as the
-    defining double sum; serves as an independent reference for the FFT path."""
-    x = np.asarray(x, dtype=np.float64)
-    n = x.size
-    bins = n // 2 + 1
-    out = np.zeros(bins, dtype=np.complex128)
-    for k in range(bins):
-        acc = 0.0 + 0.0j
-        for m in range(n):
-            ang = -2.0 * np.pi * k * m / n
-            acc += x[m] * (np.cos(ang) + 1j * np.sin(ang))
-        out[k] = acc
-    return out
-
-
 _dft_mats = {}
 
 
@@ -107,12 +91,6 @@ def _dft_matrices(n: int):
         ang = 2.0 * np.pi * k * m / n
         _dft_mats[n] = (np.cos(ang), np.sin(ang))
     return _dft_mats[n]
-
-
-def frame_count(length: int, window: int, hop: int) -> int:
-    if length < window:
-        return 0
-    return 1 + (length - window) // hop
 
 
 def _frames(x, window, hop):

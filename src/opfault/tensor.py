@@ -41,17 +41,6 @@ def l1_loss(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean(np.abs(a.astype(np.float64) - b.astype(np.float64))))
 
 
-def mse_loss(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean squared difference between two equally shaped buffers."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    require_same_shape(a, b, "mse_loss")
-    require_finite(a, "mse_loss lhs")
-    require_finite(b, "mse_loss rhs")
-    d = a.astype(np.float64) - b.astype(np.float64)
-    return float(np.mean(d * d))
-
-
 def bce_loss(pred: np.ndarray, target: np.ndarray) -> float:
     """Mean binary cross-entropy, predictions clamped to [eps, 1-eps].
 

@@ -1,5 +1,6 @@
-"""Shared test helpers: central-difference gradients, error metrics and the
-criterion-10 micro pipeline run."""
+"""Shared test helpers: central-difference gradients, error metrics, the
+oracles the tests check the program against and the criterion-10 micro
+pipeline run."""
 
 import numpy as np
 
@@ -7,6 +8,7 @@ from opfault.detector import DetectorConfig
 from opfault.gan import GanConfig
 from opfault.pipeline import run_pipeline
 from opfault.synth import DEFAULT_MACHINES, build_corpus
+from opfault.tensor import require_finite, require_same_shape
 
 
 def numerical_grad(f, x, h=1e-3):
@@ -35,6 +37,39 @@ def rel_err(analytic, numeric):
     n = np.asarray(numeric, dtype=np.float64).ravel()
     denom = max(np.linalg.norm(a) + np.linalg.norm(n), 1e-12)
     return float(np.linalg.norm(a - n) / denom)
+
+
+def naive_dft(x) -> np.ndarray:
+    """Textbook O(N^2) DFT, one-sided bins. Deliberately written as the
+    defining double sum; serves as an independent reference for the FFT path."""
+    x = np.asarray(x, dtype=np.float64)
+    n = x.size
+    bins = n // 2 + 1
+    out = np.zeros(bins, dtype=np.complex128)
+    for k in range(bins):
+        acc = 0.0 + 0.0j
+        for m in range(n):
+            ang = -2.0 * np.pi * k * m / n
+            acc += x[m] * (np.cos(ang) + 1j * np.sin(ang))
+        out[k] = acc
+    return out
+
+
+def frame_count(length: int, window: int, hop: int) -> int:
+    if length < window:
+        return 0
+    return 1 + (length - window) // hop
+
+
+def mse_loss(a: np.ndarray, b: np.ndarray) -> float:
+    """Mean squared difference between two equally shaped buffers."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    require_same_shape(a, b, "mse_loss")
+    require_finite(a, "mse_loss lhs")
+    require_finite(b, "mse_loss rhs")
+    d = a.astype(np.float64) - b.astype(np.float64)
+    return float(np.mean(d * d))
 
 
 CRITERION_10_FILES = ("report.csv", "generator.sonn", "detector.sonn",

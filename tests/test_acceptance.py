@@ -2,14 +2,15 @@
 
 Each test prints a single PASS line on success; pytest -v adds the
 pass/fail verdict per criterion. The two training-heavy checks (7, 8)
-run single-threaded desk-scale configurations and stay well inside
-their wall-clock budgets.
+run desk-scale configurations and stay well inside their wall-clock
+budgets.
 """
 
 import os
 import subprocess
 import sys
 import time
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,8 @@ from opfault.gan import (GanConfig, TrainPair, build_discriminator,
 from opfault.pipeline import run_pipeline
 from opfault.synth import default_corpus
 
-from _utils import CRITERION_10_FILES, criterion_10_run, numerical_grad, rel_err
+from _utils import (CRITERION_10_FILES, criterion_10_run, frame_count, naive_dft,
+                    numerical_grad, rel_err)
 
 
 # ------------------------------------------------------------------ references
@@ -269,7 +271,7 @@ def test_criterion_05_signal_processing_oracles():
     w = S.hann_window(256)
     for j in (0, 7, 15, 23, 30):
         frame = x[j * 128: j * 128 + 256].astype(np.float64) * w
-        ref = S.naive_dft(frame)
+        ref = naive_dft(frame)
         assert np.max(np.abs(p[j] - np.abs(ref) ** 2)) < 1e-4
 
     # min-max normalization lands exactly on -1/+1
@@ -281,7 +283,7 @@ def test_criterion_05_signal_processing_oracles():
         assert abs(float(y.min()) + 1.0) < 1e-6
         assert abs(float(y.max()) - 1.0) < 1e-6
 
-    assert S.frame_count(4096, 256, 128) == 31
+    assert frame_count(4096, 256, 128) == 31
     print("PASS criterion 5: FFT matches naive DFT, normalization maps "
           "min/max to -1/+1, 31 frames at 4096/256/128")
 
@@ -440,21 +442,47 @@ def test_criterion_10_pipeline_determinism(tmp_path):
 
 
 def test_criterion_10_determinism_across_processes(tmp_path):
-    # Two fresh interpreters, each pinned to one OpenBLAS thread, since the
-    # bytes depend on the BLAS thread count; this process keeps its own.
+    # Two fresh interpreters, one at one OpenBLAS thread and one at two: the
+    # program pins its own BLAS thread count, so the bytes must not depend
+    # on the environment.
     here = Path(__file__).resolve().parent
     child = ("import sys; sys.path[:0] = sys.argv[1:3]; "
              "from _utils import criterion_10_run; criterion_10_run(sys.argv[3])")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    outs = [tmp_path / name for name in ("a", "b")]
-    for out in outs:
+    outs = {threads: tmp_path / f"blas{threads}" for threads in ("1", "2")}
+    for threads, out in outs.items():
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         subprocess.run([sys.executable, "-c", child, str(here), str(here.parent / "src"),
                         str(out)], env=env, check=True, timeout=900)
     for fname in CRITERION_10_FILES:
-        assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes(), \
-            f"{fname} differs between processes at OPENBLAS_NUM_THREADS=1"
+        assert (outs["1"] / fname).read_bytes() == (outs["2"] / fname).read_bytes(), \
+            f"{fname} differs between OPENBLAS_NUM_THREADS=1 and =2"
     print("PASS criterion 10 across processes: byte-identical outputs at one "
-          "BLAS thread")
+          "and at two BLAS threads")
+
+
+class _InlineExecutor:
+    """Stands in for the shard pool: runs each submitted shard at once, in
+    the calling thread."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except BaseException as e:
+            future.set_exception(e)
+        return future
+
+
+def test_criterion_10_shards_give_the_same_bytes_inline(tmp_path, monkeypatch):
+    pooled, inline = tmp_path / "pooled", tmp_path / "inline"
+    criterion_10_run(pooled)
+    monkeypatch.setattr(N, "_pool", _InlineExecutor())
+    criterion_10_run(inline)
+    for fname in CRITERION_10_FILES:
+        assert (pooled / fname).read_bytes() == (inline / fname).read_bytes(), \
+            f"{fname} differs between pooled and inline shards"
+    print("PASS criterion 10 inline: shards run one after the other give the "
+          "bytes of the pooled run")
 
 
 def test_criterion_11_record_rule_property():

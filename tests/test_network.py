@@ -1,10 +1,17 @@
+import sys
+import threading
+import time
+from concurrent import futures
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opfault import blas
 from opfault import detector as D
 from opfault import gan as G
+from opfault import layers as L
 from opfault import network as N
 
 from _utils import numerical_grad, rel_err
@@ -157,3 +164,143 @@ def test_backward_without_input_grad_keeps_param_grads(net, width, batch, seed):
     assert gx.shape == x.shape and none is None
     for (gw, gb), (sw, sb) in zip(grads, grads_skip):
         assert np.array_equal(gw, sw) and np.array_equal(gb, sb)
+
+
+def _batch(spec, batch, rng):
+    x = rng.uniform(-1, 1, (batch, spec.layers[0].in_channels, spec.input_len))
+    return x.astype(np.float32)
+
+
+@pytest.mark.parametrize("net", ["generator", "discriminator", "detector"])
+@pytest.mark.parametrize("batch", [1, 2, 3, 8])
+def test_sharded_pass_equals_serial_shard_passes(net, batch):
+    spec = _small_net(net, 3)
+    rng = np.random.default_rng(batch)
+    params = N.init_params(spec, rng)
+    x = _batch(spec, batch, rng)
+    out, cache = N.forward_network(spec, params, x, want_cache=True)
+    g = rng.normal(size=out.shape).astype(np.float32)
+    gx, grads = N.backward_network(spec, params, cache, g)
+
+    # rows [0, ceil(B/2)) and [ceil(B/2), B); one shard below two rows
+    half = -(-batch // 2)
+    bounds = [(0, half), (half, batch)] if batch > 1 else [(0, 1)]
+    assert [len(c["outs"][-1]) for c in cache["shards"]] == [b - a for a, b in bounds]
+    whole, _ = N._forward(spec, params, x, False)
+    assert np.allclose(out, whole, rtol=1e-5, atol=1e-6)
+
+    outs, serial = [], []
+    for a, b in bounds:
+        y, c = N._forward(spec, params, x[a:b], True)
+        outs.append(y)
+        serial.append(N._backward(spec, params, c, g[a:b], True))
+    assert np.array_equal(out, np.concatenate(outs))
+    assert np.array_equal(gx, np.concatenate([s[0] for s in serial]))
+    want = serial[0][1]
+    if len(serial) == 2:
+        want = [(w0 + w1, b0 + b1) for (w0, b0), (w1, b1) in zip(want, serial[1][1])]
+    for (gw, gb), (sw, sb) in zip(grads, want):
+        assert np.array_equal(gw, sw) and np.array_equal(gb, sb)
+    assert blas.threads() in (None, 1)
+
+
+def test_single_row_passes_skip_the_shard_pool(monkeypatch):
+    spec = _small_net("detector", 2)
+    rng = np.random.default_rng(0)
+    params = N.init_params(spec, rng)
+
+    def no_pool():
+        raise AssertionError("a one-row pass reached the shard pool")
+
+    monkeypatch.setattr(N, "_shard_pool", no_pool)
+    for x in (_batch(spec, 1, rng), _batch(spec, 1, rng)[0]):
+        out, cache = N.forward_network(spec, params, x, want_cache=True)
+        gx, _ = N.backward_network(spec, params, cache, np.ones_like(out))
+        assert gx.shape == x.shape
+
+
+def test_shard_one_errors_reach_the_caller(monkeypatch):
+    spec = _small_net("detector", 2)
+    rng = np.random.default_rng(1)
+    params = N.init_params(spec, rng)
+    x = _batch(spec, 3, rng)                 # shards of 2 and 1 rows
+    out, cache = N.forward_network(spec, params, x, want_cache=True)
+    conv_fwd, conv_bwd = L.op_conv1d_forward, L.op_conv1d_backward
+
+    def fwd(x, *args, **kwargs):
+        if len(x) == 1:
+            raise RuntimeError("shard 1 forward")
+        return conv_fwd(x, *args, **kwargs)
+
+    def bwd(x, w, g, *args, **kwargs):
+        if len(g) == 1:
+            raise RuntimeError("shard 1 backward")
+        return conv_bwd(x, w, g, *args, **kwargs)
+
+    monkeypatch.setattr(L, "op_conv1d_forward", fwd)
+    monkeypatch.setattr(L, "op_conv1d_backward", bwd)
+    with pytest.raises(RuntimeError, match="shard 1 forward"):
+        N.forward_network(spec, params, x)
+    with pytest.raises(RuntimeError, match="shard 1 backward"):
+        N.backward_network(spec, params, cache, np.ones_like(out))
+
+
+def test_shard_zero_error_waits_for_shard_one(monkeypatch):
+    spec = _small_net("detector", 2)
+    rng = np.random.default_rng(2)
+    params = N.init_params(spec, rng)
+    forward = N._forward
+    finished = []
+
+    def slow_or_failing(spec, params, h, want_cache):
+        if len(h) == 2:
+            raise RuntimeError("shard 0")
+        time.sleep(0.2)
+        out = forward(spec, params, h, want_cache)
+        finished.append(len(h))
+        return out
+
+    monkeypatch.setattr(N, "_forward", slow_or_failing)
+    with pytest.raises(RuntimeError, match="shard 0"):
+        N.forward_network(spec, params, _batch(spec, 3, rng))
+    assert finished == [1]
+
+
+def test_concurrent_callers_share_one_shard_pool(monkeypatch):
+    spec = _small_net("generator", 2)
+    rng = np.random.default_rng(3)
+    params = N.init_params(spec, rng)
+    xs = [_batch(spec, 3, rng) for _ in range(4)]
+    want = [N.forward_network(spec, params, x) for x in xs]
+    made = []
+
+    class CountingPool(futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            time.sleep(0.05)  # widens the window between checking and setting the pool
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(N, "_pool", None)    # the callers race to make it
+    got = [None] * len(xs)
+
+    def call(k):
+        for _ in range(5):
+            got[k] = N.forward_network(spec, params, xs[k])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    threads = [threading.Thread(target=call, args=(k,)) for k in range(len(xs))]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in made:
+            pool.shutdown()
+    assert not any(t.is_alive() for t in threads)
+    assert len(made) == 1
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)

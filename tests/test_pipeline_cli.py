@@ -1,5 +1,7 @@
 """Pipeline orchestration, config files, segment archives, and the CLI."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -300,3 +302,18 @@ def test_cli_error_contract(tmp_path, capsys):
 
     assert main(["gen-data", "--machine", "M1"]) == 1   # no --out
     assert "error: " in capsys.readouterr().err
+
+
+def test_cli_pipeline_without_seed_keeps_both_config_seeds(tmp_path):
+    src_dir, tgt_dir, cfg = _write_micro_sets(tmp_path)
+    seeds = tmp_path / "seeds.cfg"
+    seeds.write_text(Path(cfg).read_text() + "gan.seed=7\ndetector.seed=8\n")
+    run, ev = tmp_path / "run", tmp_path / "eval"
+    assert main(["pipeline", "--source", src_dir, "--target", tgt_dir,
+                 "--config", str(seeds), "--out", str(run)]) == 0
+    ledger = (run / "run_ledger.txt").read_text().splitlines()
+    assert "gan.seed=7" in ledger and "detector.seed=8" in ledger
+    # the stage command holds out the same segments as the one-shot run
+    assert main(["evaluate", "--model", str(run / "detector.sonn"), "--data", tgt_dir,
+                 "--config", str(seeds), "--out", str(ev)]) == 0
+    assert (ev / "report.csv").read_bytes() == (run / "report.csv").read_bytes()

@@ -2,7 +2,7 @@
 
 The library is found in this process's memory maps, on first use and so
 only on Linux; elsewhere, or when numpy links another BLAS, `threads`
-reports None and `pin_threads` does nothing.
+reports None and `pin_one_thread` does nothing.
 """
 
 from __future__ import annotations
@@ -47,11 +47,13 @@ def _function(name: str, argtypes: list, restype):
     return fn
 
 
-def pin_threads(n: int = 1):
-    """Set the loaded OpenBLAS to n threads; a no-op without one."""
+@functools.cache
+def pin_one_thread():
+    """Set the loaded OpenBLAS to one thread, once per process; a no-op
+    without one."""
     fn = _function("set_num_threads", [ctypes.c_int], None)
     if fn is not None:
-        fn(n)
+        fn(1)
 
 
 def threads():
@@ -61,8 +63,11 @@ def threads():
 
 
 def describe() -> dict:
-    """numpy's build name and version of its BLAS, and the thread count in
-    effect."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    """numpy's build name and version of its BLAS (None where numpy cannot
+    say), and the thread count in effect."""
+    try:
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    except TypeError:  # numpy before 1.26 only prints its config
+        blas = {}
     return {"blas": blas.get("name"), "blas_version": blas.get("version"),
             "blas_threads": threads()}

@@ -4,7 +4,7 @@ A NetworkSpec is an ordered layer list plus named skip connections
 (source layer output concatenated onto a later layer's input, channel-wise).
 Parameters live outside the spec as a list of (weights, bias) pairs in layer
 order, so specs stay cheap to build, count and serialize. A pass over a
-batch of two or more rows runs its two halves on two threads.
+large enough batch runs its two halves on two threads.
 """
 
 from __future__ import annotations
@@ -20,12 +20,17 @@ from . import layers as L
 LAYER_KINDS = ("op_conv", "op_tconv", "dense")
 ACTIVATIONS = ("tanh", "sigmoid", "none")
 
-# Batch shards per pass. Part of the math, not of the worker count: the
-# shards give the same bytes whichever thread runs them.
-SHARDS = 2
+# A pass runs as two batch shards only when each carries at least this many
+# multiply-adds. Below it the pool hop and the GIL hand-offs of many small
+# numpy calls cost more than the second core saves: on a 2-vCPU box a
+# forward and backward pass of the default detector ran 1.34-1.43x slower
+# split at 6e6 per shard (B = 2) and 1.14x faster at 2.4e7 (B = 8). The
+# split depends on the net and the batch alone, so it is part of the math,
+# not of the worker count: the shards give the same bytes whichever thread
+# runs them.
+SHARD_MIN_MACS = 20_000_000
 _pool = None           # runs shard 1; made on the first sharded pass
 _pool_lock = threading.Lock()
-_blas_pinned = False   # set by the first pass of any size
 
 
 @dataclass(frozen=True)
@@ -190,10 +195,11 @@ def _activation_grad(out, grad, activation):
 def forward_network(spec: NetworkSpec, params: list, x, want_cache: bool = False):
     """Composed forward pass. x: (C, L) or (B, C, L); returns same rank.
 
-    A batch of two or more runs as two contiguous shards of ceil(B/2) and
-    floor(B/2) rows, the second on a worker thread; the outputs are
-    concatenated in shard order. Layer caches (power stacks, window
-    matrices) are built and kept only when want_cache is true."""
+    A batch of two or more rows whose floor(B/2) rows carry SHARD_MIN_MACS
+    runs as two contiguous shards of ceil(B/2) and floor(B/2) rows, the
+    second on a worker thread; the outputs are concatenated in shard order.
+    Layer caches (power stacks, window matrices) are built and kept only
+    when want_cache is true."""
     if len(params) != len(spec.layers):
         raise ValueError("params list does not match layer count")
     x = np.asarray(x)
@@ -202,17 +208,16 @@ def forward_network(spec: NetworkSpec, params: list, x, want_cache: bool = False
     if h.shape[1] != spec.layers[0].in_channels:
         raise ValueError(f"input has {h.shape[1]} channels, "
                          f"network expects {spec.layers[0].in_channels}")
-    if not _blas_pinned:
-        _pin_blas()
-    if len(h) < SHARDS:
-        y, shard_cache = _forward(spec, params, h, want_cache)
-        shards = [shard_cache]
-    else:
-        half = -(-len(h) // SHARDS)
+    blas.pin_one_thread()  # one BLAS thread per shard, and bytes free of the environment
+    if len(h) > 1 and len(h) // 2 * _row_macs(spec, h.shape[2]) >= SHARD_MIN_MACS:
+        half = -(-len(h) // 2)
         (y0, c0), (y1, c1) = _run_shards(_forward, (spec, params, h[:half], want_cache),
                                          (spec, params, h[half:], want_cache))
         y = np.concatenate([y0, y1])
         shards = [c0, c1]
+    else:
+        y, shard_cache = _forward(spec, params, h, want_cache)
+        shards = [shard_cache]
     if squeeze:
         y = y[0]
     if want_cache:
@@ -325,12 +330,18 @@ def _backward(spec, params, cache, grad_out, need_input_grad):
     return grad_x, grads
 
 
-def _pin_blas():
-    """One BLAS thread per shard, so two shards fill two cores without
-    oversubscribing them and the bytes do not depend on the environment."""
-    global _blas_pinned
-    blas.pin_threads(1)
-    _blas_pinned = True
+def _row_macs(spec, length):
+    """Multiply-adds of one row's forward pass at this input length: each
+    weight times the positions it is applied at."""
+    macs = 0
+    for ls, (_, out_len) in zip(spec.layers, spec.trace_shapes(length)):
+        if ls.kind == "dense":
+            macs += ls.out_channels * ls.in_channels
+        else:  # a conv slides over its output, a tconv scatters from its input
+            taps = ls.out_channels * ls.in_channels * ls.kernel * ls.q
+            macs += taps * (out_len if ls.kind == "op_conv" else length)
+        length = out_len
+    return macs
 
 
 def _shard_pool():

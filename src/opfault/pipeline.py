@@ -92,10 +92,11 @@ def _ledger_text(gan_cfg, det_cfg, seed, mode, checkpoint,
         "checkpoint.iteration": checkpoint.iteration,
         "checkpoint.val_loss": repr(checkpoint.val_loss),
         "gan.diverged": diverged,
-        # what produced the bytes; the BLAS thread count is the one in effect
+        # what produced the bytes; the BLAS thread count is the one in
+        # effect, and a pass splits into two shards at this much work
         "env.python": platform.python_version(),
         "env.numpy": np.__version__,
-        "env.shards": N.SHARDS,
+        "env.shard_min_macs": N.SHARD_MIN_MACS,
     })
     entries.update((f"env.{k}", v) for k, v in blas.describe().items())
     if checkpoint.val_detection is not None:

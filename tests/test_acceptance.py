@@ -444,9 +444,11 @@ def test_criterion_10_pipeline_determinism(tmp_path):
 def test_criterion_10_determinism_across_processes(tmp_path):
     # Two fresh interpreters, one at one OpenBLAS thread and one at two: the
     # program pins its own BLAS thread count, so the bytes must not depend
-    # on the environment.
+    # on the environment. The micro nets are below the shard threshold, so
+    # the children split every batch to run the two-thread path too.
     here = Path(__file__).resolve().parent
     child = ("import sys; sys.path[:0] = sys.argv[1:3]; "
+             "from opfault import network; network.SHARD_MIN_MACS = 0; "
              "from _utils import criterion_10_run; criterion_10_run(sys.argv[3])")
     outs = {threads: tmp_path / f"blas{threads}" for threads in ("1", "2")}
     for threads, out in outs.items():
@@ -464,7 +466,10 @@ class _InlineExecutor:
     """Stands in for the shard pool: runs each submitted shard at once, in
     the calling thread."""
 
+    submitted = 0
+
     def submit(self, fn, *args):
+        self.submitted += 1
         future = Future()
         try:
             future.set_result(fn(*args))
@@ -474,10 +479,13 @@ class _InlineExecutor:
 
 
 def test_criterion_10_shards_give_the_same_bytes_inline(tmp_path, monkeypatch):
+    monkeypatch.setattr(N, "SHARD_MIN_MACS", 0)  # split every batch of the micro nets
     pooled, inline = tmp_path / "pooled", tmp_path / "inline"
     criterion_10_run(pooled)
-    monkeypatch.setattr(N, "_pool", _InlineExecutor())
+    executor = _InlineExecutor()
+    monkeypatch.setattr(N, "_pool", executor)
     criterion_10_run(inline)
+    assert executor.submitted > 0
     for fname in CRITERION_10_FILES:
         assert (pooled / fname).read_bytes() == (inline / fname).read_bytes(), \
             f"{fname} differs between pooled and inline shards"

@@ -171,6 +171,42 @@ def _batch(spec, batch, rng):
     return x.astype(np.float32)
 
 
+@pytest.fixture
+def shard_small_nets(monkeypatch):
+    """Split every pass of two or more rows, so small nets take the shard path."""
+    monkeypatch.setattr(N, "SHARD_MIN_MACS", 0)
+
+
+def test_row_macs_counts_each_weight_at_each_position():
+    spec = N.NetworkSpec(layers=[
+        N.LayerSpec("op_conv", 1, 3, kernel=4, q=2, stride=2, padding=1),   # 16 -> 8
+        N.LayerSpec("op_tconv", 3, 2, kernel=4, q=2, stride=2, padding=1),  # 8 -> 16
+        N.dense_layer(2 * 16, 5, activation="none"),
+    ], input_len=16).validate()
+    assert N._row_macs(spec, 16) == 3 * 1 * 4 * 2 * 8 + 2 * 3 * 4 * 2 * 8 + 5 * 32
+
+
+def test_passes_split_at_the_shard_work_threshold(monkeypatch):
+    spec = _small_net("generator", 2)
+    rng = np.random.default_rng(4)
+    params = N.init_params(spec, rng)
+    x = _batch(spec, 5, rng)                 # shards of 3 and 2 rows
+    shard_macs = 2 * N._row_macs(spec, spec.input_len)
+    for threshold, rows in ((shard_macs, [3, 2]), (shard_macs + 1, [5])):
+        monkeypatch.setattr(N, "SHARD_MIN_MACS", threshold)
+        _, cache = N.forward_network(spec, params, x, want_cache=True)
+        assert [len(c["outs"][-1]) for c in cache["shards"]] == rows
+
+
+def test_default_threshold_keeps_tiny_passes_whole():
+    spec = _small_net("detector", 3)
+    params = N.init_params(spec, np.random.default_rng(5))
+    _, cache = N.forward_network(spec, params, _batch(spec, 8, np.random.default_rng(6)),
+                                 want_cache=True)
+    assert len(cache["shards"]) == 1
+
+
+@pytest.mark.usefixtures("shard_small_nets")
 @pytest.mark.parametrize("net", ["generator", "discriminator", "detector"])
 @pytest.mark.parametrize("batch", [1, 2, 3, 8])
 def test_sharded_pass_equals_serial_shard_passes(net, batch):
@@ -219,6 +255,7 @@ def test_single_row_passes_skip_the_shard_pool(monkeypatch):
         assert gx.shape == x.shape
 
 
+@pytest.mark.usefixtures("shard_small_nets")
 def test_shard_one_errors_reach_the_caller(monkeypatch):
     spec = _small_net("detector", 2)
     rng = np.random.default_rng(1)
@@ -245,6 +282,7 @@ def test_shard_one_errors_reach_the_caller(monkeypatch):
         N.backward_network(spec, params, cache, np.ones_like(out))
 
 
+@pytest.mark.usefixtures("shard_small_nets")
 def test_shard_zero_error_waits_for_shard_one(monkeypatch):
     spec = _small_net("detector", 2)
     rng = np.random.default_rng(2)
@@ -266,6 +304,7 @@ def test_shard_zero_error_waits_for_shard_one(monkeypatch):
     assert finished == [1]
 
 
+@pytest.mark.usefixtures("shard_small_nets")
 def test_concurrent_callers_share_one_shard_pool(monkeypatch):
     spec = _small_net("generator", 2)
     rng = np.random.default_rng(3)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opfault import dataset, model_io, synth
+from opfault import blas, dataset, model_io, synth
 from opfault import network as N
 from opfault.cli import main, resolve_records
 from opfault.config import build_configs, load_config, parse_kv_text
@@ -260,7 +260,7 @@ def test_cli_pipeline_command(tmp_path, capsys):
 def test_cli_pipeline_honours_config_fraction(tmp_path, capsys):
     src_dir, tgt_dir, cfg = _write_micro_sets(tmp_path)
     half = tmp_path / "half.cfg"
-    half.write_text(open(cfg).read() + "pipeline.fraction=0.5\n")
+    half.write_text(Path(cfg).read_text() + "pipeline.fraction=0.5\n")
     out = tmp_path / "run"
     assert main(["pipeline", "--source", src_dir, "--target", tgt_dir,
                  "--config", str(half), "--seed", "3", "--out", str(out)]) == 0
@@ -274,7 +274,7 @@ def test_cli_pipeline_honours_config_fraction(tmp_path, capsys):
 def test_cli_synthesize_splits_with_detector_seed(tmp_path):
     _, tgt_dir, cfg = _write_micro_sets(tmp_path)
     seeds = tmp_path / "seeds.cfg"
-    seeds.write_text(open(cfg).read() + "gan.seed=7\ndetector.seed=8\n")
+    seeds.write_text(Path(cfg).read_text() + "gan.seed=7\ndetector.seed=8\n")
     spec = build_generator(GanConfig(gen_width=4, q=2))
     model = str(tmp_path / "generator.sonn")
     model_io.save_model(model, spec, N.init_params(spec, np.random.default_rng(0)))
@@ -317,3 +317,17 @@ def test_cli_pipeline_without_seed_keeps_both_config_seeds(tmp_path):
     assert main(["evaluate", "--model", str(run / "detector.sonn"), "--data", tgt_dir,
                  "--config", str(seeds), "--out", str(ev)]) == 0
     assert (ev / "report.csv").read_bytes() == (run / "report.csv").read_bytes()
+
+
+def test_ledger_records_the_environment_under_an_old_numpy(tmp_path, monkeypatch):
+    # numpy before 1.26 has show_config() with no mode argument; the run
+    # must still write its ledger, with the BLAS name unknown
+    monkeypatch.setattr(np, "show_config", lambda: None)
+    run_pipeline(micro_corpus("M1"), micro_corpus("M2"), micro_gan_cfg(max_iters=1),
+                 micro_det_cfg(epochs=1), seed=1, out_dir=str(tmp_path))
+    ledger = (tmp_path / "run_ledger.txt").read_text().splitlines()
+    for line in ("env.blas=None", "env.blas_version=None", f"env.numpy={np.__version__}",
+                 f"env.blas_threads={blas.threads()}",
+                 f"env.shard_min_macs={N.SHARD_MIN_MACS}"):
+        assert line in ledger, line
+    assert any(line.startswith("env.python=3.") for line in ledger)

@@ -195,18 +195,17 @@ def _warn_on_partial_coverage(records: list):
                           stacklevel=2)
 
 
-def record_to_segments(rec: Record, normalize: bool = True,
-                       segment_len: int = sig.SEGMENT_LEN) -> list:
+def record_to_segments(rec: Record, segment_len: int = sig.SEGMENT_LEN) -> list:
+    """The record's normalized segments."""
     segs = sig.segment_record(rec.samples, segment_len=segment_len,
                               condition=rec.condition, source_record=rec.name)
-    return sig.normalize_segments(segs) if normalize else segs
+    return sig.normalize_segments(segs)
 
 
-def records_to_segments(records: list, normalize: bool = True,
-                        segment_len: int = sig.SEGMENT_LEN) -> list:
+def records_to_segments(records: list, segment_len: int = sig.SEGMENT_LEN) -> list:
     out = []
     for rec in records:
-        out.extend(record_to_segments(rec, normalize, segment_len))
+        out.extend(record_to_segments(rec, segment_len))
     return out
 
 

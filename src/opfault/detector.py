@@ -162,28 +162,12 @@ def classify_segments(spec, params, segments: list, batch: int = 64) -> list:
     return labels
 
 
-@dataclass
-class RecordVerdict:
-    record_id: str
-    segment_labels: list
-    label: str
-    faulty_segment_count: int
-
-
 def record_label(segment_labels: list) -> str:
     # >= 2 faulty segments flips the whole record; a single hit is tolerated
     # as an occasional false alarm
     if not segment_labels:
         raise ValueError("cannot classify a record with no segment labels")
     return FAULTY if sum(1 for x in segment_labels if x == FAULTY) >= 2 else HEALTHY
-
-
-def classify_record(segment_labels: list, record_id: str = "") -> RecordVerdict:
-    label = record_label(segment_labels)
-    return RecordVerdict(record_id=record_id, segment_labels=list(segment_labels),
-                         label=label,
-                         faulty_segment_count=sum(1 for x in segment_labels
-                                                  if x == FAULTY))
 
 
 @dataclass
@@ -227,55 +211,44 @@ def percent(x: float, decimals: int = 2) -> str:
 
 def report_from_counts(per_sensor_detected, per_sensor_totals,
                        misclassified_segments: int, total_segments: int,
-                       false_positive_records: int = 0) -> EvalReport:
-    """Assemble a report straight from already-aggregated counts."""
-    per_sensor = [(i + 1, d, t, d / t if t else None)
-                  for i, (d, t) in enumerate(zip(per_sensor_detected, per_sensor_totals))]
+                       false_positive_records: int = 0, sensors=None) -> EvalReport:
+    """Assemble a report from aggregated counts. sensors holds the ids of the
+    per-sensor rows (1..n by default); a side with no counts gets None rates."""
+    sensors = sensors or range(1, len(per_sensor_totals) + 1)
+    per_sensor = [(s, d, t, d / t if t else None)
+                  for s, d, t in zip(sensors, per_sensor_detected, per_sensor_totals)]
     detected = sum(per_sensor_detected)
+    n_faulty = sum(per_sensor_totals)
     flagged = detected + false_positive_records
     return EvalReport(
         per_sensor=per_sensor,
-        overall_recall=recall_from_counts(per_sensor_detected, per_sensor_totals),
+        overall_recall=(recall_from_counts(per_sensor_detected, per_sensor_totals)
+                        if n_faulty else None),
         segment_far=(misclassified_segments / total_segments) if total_segments else None,
         record_precision=(detected / flagged) if flagged else None,
         n_healthy_segments=total_segments,
-        n_faulty_records=sum(per_sensor_totals),
+        n_faulty_records=n_faulty,
         far_counts=(misclassified_segments, total_segments),
         precision_counts=(detected, flagged))
 
 
-def evaluate(spec, params, healthy_segments: list, faulty_records: list,
-             batch: int = 64) -> EvalReport:
+def evaluate(spec, params, healthy_segments: list, faulty_records: list) -> EvalReport:
     """Score a detector: segment FAR over the healthy pool, record recall over
     the faulty records, record precision over both. Either side may be empty;
     its metrics come back as None and render as "-" in the CSV."""
     from .dataset import record_to_segments  # local import, avoids module cycle
 
-    per_sensor_counts = {}
-    tp = 0
+    counts = {}
     for rec in faulty_records:
         segs = record_to_segments(rec, segment_len=spec.input_len)
-        verdict = classify_record(classify_segments(spec, params, segs, batch),
-                                  record_id=rec.name)
-        det, tot = per_sensor_counts.get(rec.condition.sensor, (0, 0))
-        hit = verdict.label == FAULTY
-        per_sensor_counts[rec.condition.sensor] = (det + int(hit), tot + 1)
-        tp += int(hit)
+        hit = record_label(classify_segments(spec, params, segs)) == FAULTY
+        det, tot = counts.get(rec.condition.sensor, (0, 0))
+        counts[rec.condition.sensor] = (det + int(hit), tot + 1)
 
-    per_sensor = [(sensor, det, tot, det / tot if tot else None)
-                  for sensor, (det, tot) in sorted(per_sensor_counts.items())]
-    overall = None
-    if faulty_records:
-        overall = recall_from_counts([r[1] for r in per_sensor],
-                                     [r[2] for r in per_sensor])
-
-    far = None
-    fp_records = 0
-    mis = 0
+    mis = fp_records = 0
     if healthy_segments:
-        labels = classify_segments(spec, params, healthy_segments, batch)
+        labels = classify_segments(spec, params, healthy_segments)
         mis = sum(1 for x in labels if x == FAULTY)
-        far = mis / len(labels)
         # record-level false alarms: group the healthy pool by source record
         by_record = {}
         for seg, label in zip(healthy_segments, labels):
@@ -283,11 +256,7 @@ def evaluate(spec, params, healthy_segments: list, faulty_records: list,
         fp_records = sum(1 for ls in by_record.values()
                          if record_label(ls) == FAULTY)
 
-    flagged = tp + fp_records
-    precision = (tp / flagged) if flagged else None
-    return EvalReport(per_sensor=per_sensor, overall_recall=overall,
-                      segment_far=far, record_precision=precision,
-                      n_healthy_segments=len(healthy_segments),
-                      n_faulty_records=len(faulty_records),
-                      far_counts=(mis, len(healthy_segments)),
-                      precision_counts=(tp, flagged))
+    sensors = sorted(counts)
+    return report_from_counts([counts[s][0] for s in sensors],
+                              [counts[s][1] for s in sensors],
+                              mis, len(healthy_segments), fp_records, sensors=sensors)

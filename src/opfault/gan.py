@@ -38,24 +38,28 @@ class GanConfig:
     segment_len: int = S.SEGMENT_LEN
     spec_window: int = S.SPEC_WINDOW
     spec_hop: int = S.SPEC_HOP
-    spectral_mode: str = "power"    # "power" or "complex"
 
-    def validate(self):
+    def validate_networks(self):
+        """The fields the network builders read."""
         if self.gen_width < 1 or self.disc_width < 1 or self.q < 1:
             raise ValueError("widths and q must be >= 1")
+        if self.noise_channels < 0:
+            raise ValueError("noise_channels must be >= 0")
+        if self.segment_len % (2 ** ENCODER_DEPTH) != 0 or self.segment_len < 2 ** ENCODER_DEPTH:
+            raise ValueError(f"segment_len must be a positive multiple of "
+                             f"{2 ** ENCODER_DEPTH}")
+        return self
+
+    def validate(self):
+        self.validate_networks()
         if self.lambda_weight < 0:
             raise ValueError("lambda_weight must be >= 0")
         if self.batch < 1 or self.max_iters < 0 or self.checkpoint_every < 1:
             raise ValueError("batch, max_iters, checkpoint_every out of range")
-        if self.noise_channels < 0:
-            raise ValueError("noise_channels must be >= 0")
         if self.iteration_unit not in ("epoch", "batch"):
             raise ValueError(f"unknown iteration_unit {self.iteration_unit!r}")
-        if self.spectral_mode not in ("power", "complex"):
-            raise ValueError(f"unknown spectral_mode {self.spectral_mode!r}")
-        if self.segment_len % (2 ** ENCODER_DEPTH) != 0 or self.segment_len < 2 ** ENCODER_DEPTH:
-            raise ValueError(f"segment_len must be a positive multiple of "
-                             f"{2 ** ENCODER_DEPTH}")
+        if not 2 <= self.spec_window <= self.segment_len or self.spec_hop < 1:
+            raise ValueError("need 2 <= spec_window <= segment_len and spec_hop >= 1")
         return self
 
 
@@ -89,7 +93,7 @@ def build_generator(cfg: GanConfig) -> N.NetworkSpec:
     """Encoder of five strided op_conv layers, decoder of five op_tconv layers
     with skip concats from the mirror encoder stage (the first decoder layer
     re-reads the bottleneck itself)."""
-    cfg.validate()
+    cfg.validate_networks()
     w, q = cfg.gen_width, cfg.q
     in_ch = 1 + cfg.noise_channels
     layers = [N.LayerSpec("op_conv", in_ch, w, kernel=5, q=q, stride=2, padding=2)]
@@ -108,7 +112,7 @@ def build_discriminator(cfg: GanConfig) -> N.NetworkSpec:
     """Patch discriminator over the 2-channel (input, candidate) stack:
     stride-4 op_conv blocks while length allows, then a final stride-2 layer
     with a sigmoid patch output."""
-    cfg.validate()
+    cfg.validate_networks()
     w, q = cfg.disc_width, cfg.q
     layers = []
     in_ch, length = 2, cfg.segment_len
@@ -132,11 +136,10 @@ def _pair_matrix(pairs: list, segment_len: int):
     return x, y
 
 
-def _with_noise(x_sig: np.ndarray, cfg: GanConfig, rng) -> np.ndarray:
-    if cfg.noise_channels == 0:
+def _with_noise(x_sig: np.ndarray, channels: int, rng) -> np.ndarray:
+    if channels == 0:
         return x_sig
-    z = rng.standard_normal(
-        (x_sig.shape[0], cfg.noise_channels, x_sig.shape[2])).astype(np.float32)
+    z = rng.standard_normal((x_sig.shape[0], channels, x_sig.shape[2])).astype(np.float32)
     return np.concatenate([x_sig, z], axis=1)
 
 
@@ -162,10 +165,9 @@ def generator_objective(gen, gp, disc, dp, x_in, x_sig, y, cfg: GanConfig,
     g_bce = T.bce_loss(d_out, ones)
     g_time = T.l1_loss(g_out, y)
     sf_g, s_cache = S.spectral_features(g_out[:, 0, :], cfg.spec_window,
-                                        cfg.spec_hop, cfg.spectral_mode,
-                                        want_cache=True)
+                                        cfg.spec_hop, want_cache=True)
     sf_y = S.spectral_features(y[:, 0, :].astype(np.float64), cfg.spec_window,
-                               cfg.spec_hop, cfg.spectral_mode)
+                               cfg.spec_hop)
     g_stft = T.l1_loss(sf_g, sf_y)
     total = g_bce + cfg.lambda_weight * (g_time + g_stft)
     parts = {"g_bce": g_bce, "g_time": g_time, "g_stft": g_stft}
@@ -254,7 +256,7 @@ def validation_loss(gen, gp, disc, dp, val_pairs, cfg: GanConfig, seed) -> float
     for i in range(0, len(val_pairs), cfg.batch):
         chunk = val_pairs[i:i + cfg.batch]
         x_sig, y = _pair_matrix(chunk, cfg.segment_len)
-        x_in = _with_noise(x_sig, cfg, rng)
+        x_in = _with_noise(x_sig, cfg.noise_channels, rng)
         loss, _, _ = generator_objective(gen, gp, disc, dp, x_in, x_sig, y, cfg,
                                          want_grads=False)
         total += loss * len(chunk)
@@ -301,10 +303,28 @@ def train_opgan(pairs: list, val_pairs: list, cfg: GanConfig) -> GanTrainResult:
     metrics: list = []
     checkpoint(0)
     diverged = False
-    epoch_mode = cfg.iteration_unit == "epoch"
     step = 0
-    running: list = []
+    rows: list = []
 
+    def close_step():
+        """Log one iteration as the mean of its batch rows and checkpoint on
+        the cadence; a non-finite validation loss marks divergence."""
+        nonlocal step, diverged
+        step += 1
+        means = np.mean(np.array(rows, dtype=np.float64), axis=0)
+        rows.clear()
+        row = dict(zip(("d_loss", "g_bce", "g_time", "g_stft"), means.tolist()))
+        row["iteration"] = step
+        row["val_total"] = None
+        if step % cfg.checkpoint_every == 0 or step == cfg.max_iters:
+            try:
+                row["val_total"] = checkpoint(step)
+            except T.NonFiniteError:
+                diverged = True
+                return
+        metrics.append(row)
+
+    per_batch = cfg.iteration_unit == "batch"
     while step < cfg.max_iters and not diverged:
         epoch_pairs = _resample_pairs(pairs, rng)
         order = rng.permutation(len(epoch_pairs))
@@ -315,10 +335,10 @@ def train_opgan(pairs: list, val_pairs: list, cfg: GanConfig) -> GanTrainResult:
             # D step on a detached fake; G step with a fresh noise draw
             try:
                 fake = N.forward_network(gen, opt_g.params,
-                                         _with_noise(x_sig, cfg, rng))
+                                         _with_noise(x_sig, cfg.noise_channels, rng))
                 d_loss, d_grads = discriminator_objective(disc, opt_d.params,
                                                           x_sig, y, fake)
-                x_in = _with_noise(x_sig, cfg, rng)
+                x_in = _with_noise(x_sig, cfg.noise_channels, rng)
                 g_total, parts, g_grads = generator_objective(
                     gen, opt_g.params, disc, opt_d.params, x_in, x_sig, y, cfg)
             except T.NonFiniteError:
@@ -329,39 +349,14 @@ def train_opgan(pairs: list, val_pairs: list, cfg: GanConfig) -> GanTrainResult:
                 break
             opt_d.step(d_grads)
             opt_g.step(g_grads)
-            running.append((d_loss, parts["g_bce"], parts["g_time"], parts["g_stft"]))
-
-            if not epoch_mode:
-                step += 1
-                row = dict(zip(("d_loss", "g_bce", "g_time", "g_stft"), running[-1]))
-                row["iteration"] = step
-                row["val_total"] = None
-                if step % cfg.checkpoint_every == 0 or step == cfg.max_iters:
-                    try:
-                        row["val_total"] = checkpoint(step)
-                    except T.NonFiniteError:
-                        diverged = True
-                        break
-                metrics.append(row)
-                if step >= cfg.max_iters:
+            rows.append((d_loss, parts["g_bce"], parts["g_time"], parts["g_stft"]))
+            if per_batch:
+                close_step()
+                if diverged or step >= cfg.max_iters:
                     break
-        if epoch_mode and not diverged:
-            step += 1
-            means = np.mean(np.array(running, dtype=np.float64), axis=0)
-            running = []
-            row = dict(zip(("d_loss", "g_bce", "g_time", "g_stft"), means.tolist()))
-            row["iteration"] = step
-            row["val_total"] = None
-            if step % cfg.checkpoint_every == 0 or step == cfg.max_iters:
-                try:
-                    row["val_total"] = checkpoint(step)
-                except T.NonFiniteError:
-                    diverged = True
-                    continue
-            metrics.append(row)
+        if not (per_batch or diverged):
+            close_step()
 
-    if cfg.max_iters > 0 and not diverged and checkpoints[-1].iteration != step:
-        checkpoint(step)
     return GanTrainResult(checkpoints=checkpoints, metrics=metrics,
                           gen_spec=gen, disc_spec=disc, diverged=diverged)
 
@@ -401,12 +396,8 @@ def synthesize_faults(gen_spec, gen_params, healthy_segments: list, seed: int = 
             if not s.normalized:
                 raise ValueError("synthesis inputs must be normalized segments")
             x_sig[j, 0] = s.samples
-        if noise_channels:
-            z = rng.standard_normal((len(chunk), noise_channels, length)).astype(np.float32)
-            x_in = np.concatenate([x_sig, z], axis=1)
-        else:
-            x_in = x_sig
-        g_out = N.forward_network(gen_spec, gen_params, x_in)
+        g_out = N.forward_network(gen_spec, gen_params,
+                                  _with_noise(x_sig, noise_channels, rng))
         g_out = np.clip(g_out[:, 0, :], -1.0, 1.0)
         for j, s in enumerate(chunk):
             out.append(S.Segment(samples=g_out[j].astype(np.float32),

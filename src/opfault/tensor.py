@@ -10,11 +10,14 @@ propagated into the training loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 BCE_EPS = 1e-7
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def require_same_shape(a: np.ndarray, b: np.ndarray, what: str = "operands"):
@@ -76,17 +79,12 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     lr: float = 1e-4
 
     @classmethod
-    def for_param(cls, param: np.ndarray, lr: float = 1e-4,
-                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def for_param(cls, param: np.ndarray, lr: float = 1e-4):
         return cls(m=np.zeros(param.shape, dtype=np.float64),
-                   v=np.zeros(param.shape, dtype=np.float64),
-                   t=0, beta1=beta1, beta2=beta2, eps=eps, lr=lr)
+                   v=np.zeros(param.shape, dtype=np.float64), t=0, lr=lr)
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> np.ndarray:
@@ -99,11 +97,11 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> np.nda
 
     state.t += 1
     g = grads.astype(np.float64)
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * (g * g)
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    step = state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * (g * g)
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.t)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.t)
+    step = state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return (params.astype(np.float64) - step).astype(params.dtype)
 
 

@@ -176,18 +176,15 @@ def test_criterion_02_gradient_suite_against_finite_differences():
             check(N._activation_grad(N._activate(x, act), r, act), a_loss, x, tag=act)
         cases += 1
 
-    for mode in ("power", "complex"):  # spectrogram path
-        for _ in range(4):
-            win = int(rng.choice([16, 32]))
-            hop = win // 2
-            x = rng.uniform(-1, 1, (2, int(rng.integers(3 * win, 4 * win))))
-            feats, cache = S.spectral_features(x, win, hop, mode=mode,
-                                               want_cache=True)
-            r = rng.standard_normal(feats.shape)
-            loss = lambda: float(np.sum(
-                S.spectral_features(x, win, hop, mode=mode) * r))
-            check(S.spectral_features_grad(r, cache), loss, x, tag=mode)
-            cases += 1
+    for _ in range(4):  # spectrogram path
+        win = int(rng.choice([16, 32]))
+        hop = win // 2
+        x = rng.uniform(-1, 1, (2, int(rng.integers(3 * win, 4 * win))))
+        feats, cache = S.spectral_features(x, win, hop, want_cache=True)
+        r = rng.standard_normal(feats.shape)
+        loss = lambda: float(np.sum(S.spectral_features(x, win, hop) * r))
+        check(S.spectral_features_grad(r, cache), loss, x, tag="spectrogram")
+        cases += 1
 
     # full composite generator objective on the miniature network
     cfg = GanConfig(gen_width=2, disc_width=2, q=2, segment_len=64,
@@ -267,7 +264,7 @@ def test_criterion_05_signal_processing_oracles():
 
     # FFT path inside the spectrogram against the O(N^2) defining sum
     x = rng.standard_normal(4096).astype(np.float32)
-    p = S.power_spectrogram(x, 256, 128)
+    p = S.spectral_features(x, 256, 128)
     w = S.hann_window(256)
     for j in (0, 7, 15, 23, 30):
         frame = x[j * 128: j * 128 + 256].astype(np.float64) * w
@@ -382,9 +379,9 @@ def test_criterion_07_gan_desk_run_halves_loss_and_wins_baseline():
                               [p.healthy for p in val_pairs], seed=9)
     wins = 0
     for pair, fake in zip(val_pairs, synth):
-        py = S.power_spectrogram(pair.faulty.samples.astype(np.float64))
-        pg = S.power_spectrogram(fake.samples.astype(np.float64))
-        px = S.power_spectrogram(pair.healthy.samples.astype(np.float64))
+        py = S.spectral_features(pair.faulty.samples.astype(np.float64))
+        pg = S.spectral_features(fake.samples.astype(np.float64))
+        px = S.spectral_features(pair.healthy.samples.astype(np.float64))
         if np.mean(np.abs(pg - py)) < np.mean(np.abs(px - py)):
             wins += 1
     win_rate = wins / len(val_pairs)

@@ -8,7 +8,7 @@ import pytest
 from opfault import network as N
 from opfault.dataset import Record, WorkingCondition
 from opfault.detector import (DetectorConfig, EvalReport, build_detector,
-                              classify_record, classify_segment,
+                              classify_segment,
                               classify_segments, evaluate,
                               init_detector_params, percent, record_label,
                               recall_from_counts, report_from_counts,
@@ -154,9 +154,6 @@ def test_record_rule():
     assert record_label(["faulty"] * 3) == "faulty"
     with pytest.raises(ValueError):
         record_label([])
-    v = classify_record(["healthy", "faulty", "faulty"], record_id="r1")
-    assert v.label == "faulty" and v.faulty_segment_count == 2
-    assert v.record_id == "r1"
 
 
 def test_record_rule_monotone_under_flips():

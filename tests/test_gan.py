@@ -89,14 +89,12 @@ def test_miniature_networks_trace():
 
 
 def test_config_validation_rejects():
-    with pytest.raises(ValueError):
-        GanConfig(segment_len=100).validate()      # not a multiple of 32
-    with pytest.raises(ValueError):
-        GanConfig(lambda_weight=-1.0).validate()
-    with pytest.raises(ValueError):
-        GanConfig(iteration_unit="step").validate()
-    with pytest.raises(ValueError):
-        GanConfig(spectral_mode="mel").validate()
+    for bad in (dict(segment_len=100),              # not a multiple of 32
+                dict(lambda_weight=-1.0), dict(iteration_unit="step"),
+                dict(spec_hop=-16), dict(spec_hop=0), dict(spec_window=1),
+                dict(segment_len=128, spec_window=300)):
+        with pytest.raises(ValueError):
+            GanConfig(**bad).validate()
 
 
 def test_pair_validation():
@@ -283,6 +281,23 @@ def test_training_reduces_validation_loss():
     assert r.final.val_loss < r.checkpoints[0].val_loss
 
 
+def test_iteration_units_agree_when_an_epoch_is_one_batch():
+    pairs = toy_pairs(4, 64, seed=1)
+    val = toy_pairs(4, 64, seed=2)
+    for n_pairs in (4, 3):  # a full batch and a short one
+        by_epoch, by_batch = (
+            train_opgan(pairs[:n_pairs], val, mini_cfg(max_iters=5, checkpoint_every=2,
+                                                       batch=4, iteration_unit=unit))
+            for unit in ("epoch", "batch"))
+        assert [c.iteration for c in by_epoch.checkpoints] == [0, 2, 4, 5]
+        assert [c.iteration for c in by_batch.checkpoints] == [0, 2, 4, 5]
+        for ce, cb in zip(by_epoch.checkpoints, by_batch.checkpoints):
+            assert ce.val_loss == cb.val_loss
+            for (w1, b1), (w2, b2) in zip(ce.gen_params, cb.gen_params):
+                assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
+        assert by_epoch.metrics == by_batch.metrics
+
+
 def test_train_rejects_empty_sets():
     pairs = toy_pairs(4, 64)
     with pytest.raises(ValueError):
@@ -298,10 +313,12 @@ def test_divergence_stops_with_last_good_checkpoint():
                          source_record="bad", normalized=True)
     pairs[2] = TrainPair(healthy=poisoned, faulty=pairs[2].faulty)
     val = toy_pairs(4, 64, seed=2)
-    r = train_opgan(pairs, val, mini_cfg(batch=4, max_iters=6))
-    assert r.diverged
-    assert r.checkpoints[-1].iteration == 0
-    assert np.isfinite(r.checkpoints[-1].val_loss)
+    for unit in ("epoch", "batch"):
+        r = train_opgan(pairs, val, mini_cfg(batch=4, max_iters=6, iteration_unit=unit))
+        assert r.diverged
+        assert r.checkpoints[-1].iteration == 0
+        assert np.isfinite(r.checkpoints[-1].val_loss)
+        assert r.metrics == []
 
 
 # ---------------------------------------------------- checkpoints and synthesis

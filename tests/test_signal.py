@@ -75,18 +75,18 @@ def test_fft_path_matches_naive_dft():
 
 def test_spectrogram_shape_and_frame_count():
     x = np.zeros(4096)
-    p = S.power_spectrogram(x)
+    p = S.spectral_features(x)
     assert p.shape == (31, 129)
     assert frame_count(4096, 256, 128) == 31
     assert frame_count(255, 256, 128) == 0
     with pytest.raises(ValueError):
-        S.power_spectrogram(np.zeros(100))
+        S.spectral_features(np.zeros(100))
 
 
 def test_spectrogram_matches_naive_dft_per_frame():
     rng = np.random.default_rng(18)
     x = rng.normal(size=512)
-    p = S.power_spectrogram(x, window=256, hop=128)
+    p = S.spectral_features(x, window=256, hop=128)
     w = S.hann_window(256)
     for j in range(p.shape[0]):
         frame = x[j * 128:j * 128 + 256] * w
@@ -100,7 +100,7 @@ def test_pure_tone_concentrates_at_its_bin():
     # the peak sits at bin 16 and bins 15..17 hold essentially all energy
     n = np.arange(4096)
     x = np.cos(2 * np.pi * 16 * n / 256)
-    p = S.power_spectrogram(x)
+    p = S.spectral_features(x)
     for j in range(p.shape[0]):
         assert int(np.argmax(p[j])) == 16
         assert p[j, 15:18].sum() / p[j].sum() > 0.99
@@ -109,49 +109,29 @@ def test_pure_tone_concentrates_at_its_bin():
 def test_spectrogram_batched_matches_single():
     rng = np.random.default_rng(19)
     xs = rng.normal(size=(3, 512))
-    batched = S.power_spectrogram(xs)
+    batched = S.spectral_features(xs)
     assert batched.shape == (3, 3, 129)
     for i in range(3):
-        assert np.allclose(batched[i], S.power_spectrogram(xs[i]))
+        assert np.allclose(batched[i], S.spectral_features(xs[i]))
 
 
 def test_power_spectrogram_gradcheck():
     rng = np.random.default_rng(20)
     x = rng.normal(size=96)
-    p, cache = S.power_spectrogram(x, window=32, hop=16, want_cache=True)
-    proj = rng.normal(size=p.shape)
-    gx = S.power_spectrogram_grad(proj, cache)
+    # an odd window has no Nyquist bin, so its last bin is an interior one
+    for window, hop in ((32, 16), (31, 15)):
+        p, cache = S.spectral_features(x, window=window, hop=hop, want_cache=True)
+        proj = rng.normal(size=p.shape)
+        gx = S.spectral_features_grad(proj, cache)
 
-    def f():
-        return float(np.sum(S.power_spectrogram(x, window=32, hop=16) * proj))
+        def f():
+            return float(np.sum(S.spectral_features(x, window=window, hop=hop) * proj))
 
-    assert rel_err(gx, numerical_grad(f, x, h=1e-5)) < 1e-8
-
-
-def test_complex_stft_gradcheck_and_shape():
-    rng = np.random.default_rng(21)
-    x = rng.normal(size=64).astype(np.float64)
-    feats, cache = S.complex_stft(x, window=32, hop=16, want_cache=True)
-    assert feats.shape == (3, 17, 2)
-    proj = rng.normal(size=feats.shape)
-    gx = S.complex_stft_grad(proj, cache)
-
-    def f():
-        return float(np.sum(S.complex_stft(x, window=32, hop=16) * proj))
-
-    assert rel_err(gx, numerical_grad(f, x, h=1e-5)) < 1e-8
-
-
-def test_spectral_features_dispatch():
-    x = np.zeros(256)
-    assert S.spectral_features(x, mode="power").shape == (1, 129)
-    assert S.spectral_features(x, mode="complex").shape == (1, 129, 2)
-    with pytest.raises(ValueError):
-        S.spectral_features(x, mode="wavelet")
+        assert rel_err(gx, numerical_grad(f, x, h=1e-5)) < 1e-8
 
 
 def test_spectrogram_grad_preserves_dtype():
     x = np.zeros(512, dtype=np.float32)
-    p, cache = S.power_spectrogram(x, want_cache=True)
-    g = S.power_spectrogram_grad(np.ones_like(p), cache)
+    p, cache = S.spectral_features(x, want_cache=True)
+    g = S.spectral_features_grad(np.ones_like(p), cache)
     assert g.dtype == np.float32 and g.shape == x.shape

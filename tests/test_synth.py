@@ -59,7 +59,7 @@ def test_healthy_energy_sits_on_programmed_harmonics():
         for speed in Y.DEFAULT_SPEEDS[params.name]:
             cond = _cond(params.name, 1, speed)
             rec = Y.synth_machine(params, cond, 4.0)
-            p = S.power_spectrogram(rec.samples.astype(np.float64))
+            p = S.spectral_features(rec.samples.astype(np.float64))
             f_rot = speed / 60.0
             mask = np.zeros(p.shape[1], dtype=bool)
             for h in range(1, len(params.harmonic_amplitudes) + 1):
@@ -73,8 +73,8 @@ def test_fault_energy_concentrates_near_resonance():
     cond = _cond("M1", 1, 480.0)
     healthy = Y.synth_machine(Y.M1, cond, 4.0)
     faulty = Y.synth_machine(Y.M1, cond, 4.0, "outer", 1.5)
-    ph = S.power_spectrogram(healthy.samples.astype(np.float64)).mean(axis=0)
-    pf = S.power_spectrogram(faulty.samples.astype(np.float64)).mean(axis=0)
+    ph = S.spectral_features(healthy.samples.astype(np.float64)).mean(axis=0)
+    pf = S.spectral_features(faulty.samples.astype(np.float64)).mean(axis=0)
     bin_hz = D.FS / S.SPEC_WINDOW
     res_bin = int(round(Y.M1.resonance_hz / bin_hz))
     band = slice(res_bin - 8, res_bin + 9)
@@ -90,7 +90,7 @@ def test_machines_distinguishable_beyond_within_machine_variability():
     c = Y.synth_machine(Y.M2, _cond("M2", 1, speed, load), 2.0, extra_seed=1)
 
     def spec(r):
-        return S.power_spectrogram(r.samples.astype(np.float64))
+        return S.spectral_features(r.samples.astype(np.float64))
 
     within = np.abs(spec(a) - spec(b)).mean()
     across = np.abs(spec(a) - spec(c)).mean()

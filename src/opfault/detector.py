@@ -154,12 +154,11 @@ def classify_segment(spec, params, segment) -> str:
     return str(classify_matrix(spec, params, xs)[0])
 
 
-def classify_segments(spec, params, segments: list, batch: int = 64) -> list:
-    labels = []
-    for i in range(0, len(segments), batch):
-        xs = _segment_matrix(segments[i:i + batch], spec.input_len)
-        labels.extend(classify_matrix(spec, params, xs).tolist())
-    return labels
+def classify_segments(spec, params, segments: list) -> list:
+    # one pass over all of them: forward_network blocks its rows
+    if not segments:
+        return []
+    return classify_matrix(spec, params, _segment_matrix(segments, spec.input_len)).tolist()
 
 
 def record_label(segment_labels: list) -> str:

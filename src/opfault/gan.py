@@ -381,30 +381,24 @@ def metrics_to_csv_text(rows: list) -> str:
 
 
 def synthesize_faults(gen_spec, gen_params, healthy_segments: list, seed: int = 0,
-                      noise_channels: int = 1, batch: int = 32) -> list:
+                      noise_channels: int = 1) -> list:
     """Run the generator over normalized healthy segments; one clamped
-    synthetic faulty segment per input, working condition carried over."""
+    synthetic faulty segment per input, working condition carried over.
+    One pass over all of them: forward_network blocks its rows."""
     if not healthy_segments:
         raise ValueError("no healthy segments to synthesize from")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5F0]))
-    length = gen_spec.input_len
-    out: list = []
-    for i in range(0, len(healthy_segments), batch):
-        chunk = healthy_segments[i:i + batch]
-        x_sig = np.empty((len(chunk), 1, length), dtype=np.float32)
-        for j, s in enumerate(chunk):
-            if not s.normalized:
-                raise ValueError("synthesis inputs must be normalized segments")
-            x_sig[j, 0] = s.samples
-        g_out = N.forward_network(gen_spec, gen_params,
-                                  _with_noise(x_sig, noise_channels, rng))
-        g_out = np.clip(g_out[:, 0, :], -1.0, 1.0)
-        for j, s in enumerate(chunk):
-            out.append(S.Segment(samples=g_out[j].astype(np.float32),
-                                 condition=s.condition,
-                                 source_record=f"synth:{s.source_record}",
-                                 index=s.index, normalized=True))
-    return out
+    x_sig = np.empty((len(healthy_segments), 1, gen_spec.input_len), dtype=np.float32)
+    for j, s in enumerate(healthy_segments):
+        if not s.normalized:
+            raise ValueError("synthesis inputs must be normalized segments")
+        x_sig[j, 0] = s.samples
+    g_out = N.forward_network(gen_spec, gen_params, _with_noise(x_sig, noise_channels, rng))
+    g_out = np.clip(g_out[:, 0, :], -1.0, 1.0)
+    return [S.Segment(samples=g_out[j].astype(np.float32), condition=s.condition,
+                      source_record=f"synth:{s.source_record}", index=s.index,
+                      normalized=True)
+            for j, s in enumerate(healthy_segments)]
 
 
 def checkpoint_detection_score(gen_spec, gen_params, val_pairs: list,

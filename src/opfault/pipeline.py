@@ -93,10 +93,12 @@ def _ledger_text(gan_cfg, det_cfg, seed, mode, checkpoint,
         "checkpoint.val_loss": repr(checkpoint.val_loss),
         "gan.diverged": diverged,
         # what produced the bytes; the BLAS thread count is the one in
-        # effect, and a pass splits into two shards at this much work
+        # effect, a pass splits into two shards at this much work, and a
+        # forward-only shard runs in row blocks of about this much
         "env.python": platform.python_version(),
         "env.numpy": np.__version__,
         "env.shard_min_macs": N.SHARD_MIN_MACS,
+        "env.block_macs": N.BLOCK_MACS,
     })
     entries.update((f"env.{k}", v) for k, v in blas.describe().items())
     if checkpoint.val_detection is not None:

@@ -328,6 +328,7 @@ def test_ledger_records_the_environment_under_an_old_numpy(tmp_path, monkeypatch
     ledger = (tmp_path / "run_ledger.txt").read_text().splitlines()
     for line in ("env.blas=None", "env.blas_version=None", f"env.numpy={np.__version__}",
                  f"env.blas_threads={blas.threads()}",
-                 f"env.shard_min_macs={N.SHARD_MIN_MACS}"):
+                 f"env.shard_min_macs={N.SHARD_MIN_MACS}",
+                 f"env.block_macs={N.BLOCK_MACS}"):
         assert line in ledger, line
     assert any(line.startswith("env.python=3.") for line in ledger)

@@ -265,14 +265,16 @@ def load_segments(path) -> list:
         missing = needed - set(z.files)
         if missing:
             raise ValueError(f"segment archive lacks arrays: {sorted(missing)}")
-        out = []
-        for i in range(z["samples"].shape[0]):
-            cond = WorkingCondition(str(z["machine"][i]), int(z["sensor"][i]),
-                                    float(z["speed"][i]), float(z["load"][i]))
-            out.append(sig.Segment(samples=z["samples"][i],
-                                   condition=cond,
-                                   source_record=str(z["source_record"][i]) or None,
-                                   index=int(z["index"][i]),
-                                   normalized=bool(z["normalized"][i]),
-                                   degenerate=bool(z["degenerate"][i])))
+        # each z[name] reads the whole array again, so read each one once
+        arrays = {name: z[name] for name in needed}
+    out = []
+    for i in range(arrays["samples"].shape[0]):
+        cond = WorkingCondition(str(arrays["machine"][i]), int(arrays["sensor"][i]),
+                                float(arrays["speed"][i]), float(arrays["load"][i]))
+        out.append(sig.Segment(samples=arrays["samples"][i],
+                               condition=cond,
+                               source_record=str(arrays["source_record"][i]) or None,
+                               index=int(arrays["index"][i]),
+                               normalized=bool(arrays["normalized"][i]),
+                               degenerate=bool(arrays["degenerate"][i])))
     return out

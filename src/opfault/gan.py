@@ -5,8 +5,11 @@ noise channel) to a faulty candidate of the same length; a patch
 discriminator scores (input, candidate) channel pairs. The generator
 objective is adversarial BCE plus a lambda-weighted L1 term in the time
 domain and in the spectrogram domain. Training alternates one discriminator
-update and one generator update per batch, checkpoints generator weights on
-a fixed cadence, and tracks the composite loss on a held-out validation set.
+update and one generator update per batch, both on one noise draw and one
+generator forward: the discriminator sees that output as its fake, and the
+generator update backpropagates through it (the pix2pix alternation). It
+checkpoints generator weights on a fixed cadence and tracks the composite
+loss on a held-out validation set.
 """
 
 from __future__ import annotations
@@ -143,23 +146,26 @@ def _with_noise(x_sig: np.ndarray, channels: int, rng) -> np.ndarray:
     return np.concatenate([x_sig, z], axis=1)
 
 
+def _pass(spec, params, x, want_cache: bool):
+    """(output, cache) of one network pass; the cache is None unless wanted."""
+    if want_cache:
+        return N.forward_network(spec, params, x, want_cache=True)
+    return N.forward_network(spec, params, x), None
+
+
 def generator_objective(gen, gp, disc, dp, x_in, x_sig, y, cfg: GanConfig,
-                        want_grads: bool = True):
+                        want_grads: bool = True, g_pass=None, d_pass=None):
     """Composite generator loss and, optionally, its gradient w.r.t. gp.
 
     Returns (total, parts, grads) where parts holds the unweighted pieces
     g_bce, g_time, g_stft and total = g_bce + lambda * (g_time + g_stft).
-    Deterministic given x_in; the caller supplies any noise channels.
+    Deterministic given x_in; the caller supplies any noise channels. A
+    caller that already ran the generator on x_in, or the discriminator on
+    (x_sig, its output), passes that (output, cache) as g_pass or d_pass.
     """
-    if want_grads:
-        g_out, g_cache = N.forward_network(gen, gp, x_in, want_cache=True)
-    else:
-        g_out, g_cache = N.forward_network(gen, gp, x_in), None
-    d_in = np.concatenate([x_sig, g_out], axis=1)
-    if want_grads:
-        d_out, d_cache = N.forward_network(disc, dp, d_in, want_cache=True)
-    else:
-        d_out, d_cache = N.forward_network(disc, dp, d_in), None
+    g_out, g_cache = g_pass or _pass(gen, gp, x_in, want_grads)
+    d_out, d_cache = d_pass or _pass(disc, dp, np.concatenate([x_sig, g_out], axis=1),
+                                     want_grads)
 
     ones = np.ones_like(d_out)
     g_bce = T.bce_loss(d_out, ones)
@@ -186,16 +192,13 @@ def generator_objective(gen, gp, disc, dp, x_in, x_sig, y, cfg: GanConfig,
 
 
 def discriminator_objective(disc, dp, x_sig, y_real, y_fake,
-                            want_grads: bool = True):
-    """BCE(D(x, y_real), 1) + BCE(D(x, y_fake), 0) and its gradient w.r.t dp."""
-    in_real = np.concatenate([x_sig, y_real], axis=1)
-    in_fake = np.concatenate([x_sig, y_fake], axis=1)
-    if want_grads:
-        out_r, cache_r = N.forward_network(disc, dp, in_real, want_cache=True)
-        out_f, cache_f = N.forward_network(disc, dp, in_fake, want_cache=True)
-    else:
-        out_r = N.forward_network(disc, dp, in_real)
-        out_f = N.forward_network(disc, dp, in_fake)
+                            want_grads: bool = True, fake_pass=None):
+    """BCE(D(x, y_real), 1) + BCE(D(x, y_fake), 0) and its gradient w.r.t dp.
+    A caller that already ran the discriminator on (x_sig, y_fake) passes
+    that (output, cache) as fake_pass."""
+    out_r, cache_r = _pass(disc, dp, np.concatenate([x_sig, y_real], axis=1), want_grads)
+    out_f, cache_f = fake_pass or _pass(disc, dp, np.concatenate([x_sig, y_fake], axis=1),
+                                        want_grads)
     ones, zeros = np.ones_like(out_r), np.zeros_like(out_f)
     d_loss = T.bce_loss(out_r, ones) + T.bce_loss(out_f, zeros)
     if not want_grads:
@@ -267,12 +270,14 @@ def validation_loss(gen, gp, disc, dp, val_pairs, cfg: GanConfig, seed) -> float
 def train_opgan(pairs: list, val_pairs: list, cfg: GanConfig) -> GanTrainResult:
     """Alternating D/G training over condition-matched pairs.
 
-    The faulty side of each pair is redrawn from the per-condition pool at
-    every epoch boundary. Checkpoints (deep generator snapshots plus the
-    validation composite loss) land every cfg.checkpoint_every iterations and
-    at iteration 0 and the final iteration. A non-finite loss stops training
-    immediately; everything up to the last good checkpoint is returned with
-    the diverged flag set.
+    Each batch draws one noise batch and runs the generator forward once;
+    the D update and the G update share that pass and the discriminator's
+    pass on its output (see train_step). The faulty side of each pair is
+    redrawn from the per-condition pool at every epoch boundary. Checkpoints
+    (deep generator snapshots plus the validation composite loss) land every
+    cfg.checkpoint_every iterations and at iteration 0 and the final
+    iteration. A non-finite loss stops training immediately; everything up
+    to the last good checkpoint is returned with the diverged flag set.
     """
     cfg.validate()
     if not pairs:
@@ -324,6 +329,30 @@ def train_opgan(pairs: list, val_pairs: list, cfg: GanConfig) -> GanTrainResult:
                 return
         metrics.append(row)
 
+    def train_step(x_sig, y):
+        """One D update and one G update on one noise draw and one cached
+        generator forward: the D step takes its output, detached, as the
+        fake, and the G step backpropagates through it. The discriminator
+        pass on (x, fake) serves both, at the pre-update weights. Returns
+        the batch row and raises NonFiniteError on a non-finite loss; the
+        passes die with the call, so no step's caches outlive it."""
+        x_in = _with_noise(x_sig, cfg.noise_channels, rng)
+        g_pass = N.forward_network(gen, opt_g.params, x_in, want_cache=True)
+        fake = g_pass[0]
+        fake_pass = N.forward_network(disc, opt_d.params,
+                                      np.concatenate([x_sig, fake], axis=1),
+                                      want_cache=True)
+        d_loss, d_grads = discriminator_objective(disc, opt_d.params, x_sig, y, fake,
+                                                  fake_pass=fake_pass)
+        g_total, parts, g_grads = generator_objective(
+            gen, opt_g.params, disc, opt_d.params, x_in, x_sig, y, cfg,
+            g_pass=g_pass, d_pass=fake_pass)
+        if not (np.isfinite(d_loss) and np.isfinite(g_total)):
+            raise T.NonFiniteError("non-finite GAN loss")
+        opt_d.step(d_grads)
+        opt_g.step(g_grads)
+        return d_loss, parts["g_bce"], parts["g_time"], parts["g_stft"]
+
     per_batch = cfg.iteration_unit == "batch"
     while step < cfg.max_iters and not diverged:
         epoch_pairs = _resample_pairs(pairs, rng)
@@ -332,24 +361,11 @@ def train_opgan(pairs: list, val_pairs: list, cfg: GanConfig) -> GanTrainResult:
             chunk = [epoch_pairs[j] for j in order[b:b + cfg.batch]]
             x_sig, y = _pair_matrix(chunk, cfg.segment_len)
 
-            # D step on a detached fake; G step with a fresh noise draw
             try:
-                fake = N.forward_network(gen, opt_g.params,
-                                         _with_noise(x_sig, cfg.noise_channels, rng))
-                d_loss, d_grads = discriminator_objective(disc, opt_d.params,
-                                                          x_sig, y, fake)
-                x_in = _with_noise(x_sig, cfg.noise_channels, rng)
-                g_total, parts, g_grads = generator_objective(
-                    gen, opt_g.params, disc, opt_d.params, x_in, x_sig, y, cfg)
+                rows.append(train_step(x_sig, y))
             except T.NonFiniteError:
                 diverged = True
                 break
-            if not (np.isfinite(d_loss) and np.isfinite(g_total)):
-                diverged = True
-                break
-            opt_d.step(d_grads)
-            opt_g.step(g_grads)
-            rows.append((d_loss, parts["g_bce"], parts["g_time"], parts["g_stft"]))
             if per_batch:
                 close_step()
                 if diverged or step >= cfg.max_iters:

@@ -26,12 +26,33 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 
+# From 2 channels up to this many, powers stores each position's C values as
+# one void element of C * itemsize bytes, so each store of x^q into the stack
+# is one loop over positions rather than a loop C values long per position.
+# On a 2-vCPU Xeon box, (4, 4100, C) float32 at Q = 3, the void stores against
+# the strided ones took 0.046 / 0.16 / 0.09 / 0.36 / 0.78 ms against 0.39 /
+# 0.39 / 0.43 / 0.50 / 0.85 at C = 2 / 3 / 4 / 8 / 16, but 1.19 against 1.12
+# at C = 24, 1.55 against 1.42 at C = 36 and 0.048 against 0.042 at C = 1
+# (best of 15). At default widths the first generator and discriminator
+# layers (C = 2) and detector layers 1-4 (C = 16) take it.
+POWERS_VOID_MAX_CH = 16
+
+
 def powers(x: np.ndarray, q_order: int) -> np.ndarray:
     """Stack x^1..x^Q along a new axis 2: (B, N, C) -> (B, N, Q, C); the
     layers pass position-major (B, L, I) input."""
     if q_order < 1:
         raise ValueError("q_order must be >= 1")
     out = np.empty(x.shape[:2] + (q_order,) + x.shape[2:], dtype=x.dtype)
+    if x.ndim == 3 and 2 <= x.shape[2] <= POWERS_VOID_MAX_CH:
+        x = xq = np.ascontiguousarray(x)
+        void = np.dtype((np.void, x.shape[2] * x.itemsize))
+        stack = out.view(void)[..., 0]  # (B, N, Q)
+        stack[:, :, 0] = x.view(void)[..., 0]
+        for q in range(1, q_order):
+            xq = xq * x
+            stack[:, :, q] = xq.view(void)[..., 0]
+        return out
     out[:, :, 0] = x
     for q in range(1, q_order):
         np.multiply(out[:, :, q - 1], x, out=out[:, :, q])

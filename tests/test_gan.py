@@ -1,8 +1,11 @@
 """Operational GAN: architecture sizes, composite objective, training loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from opfault import gan as G
 from opfault import network as N
 from opfault import signal as S
 from opfault import tensor as T
@@ -209,6 +212,24 @@ def test_discriminator_loss_is_two_sided_bce():
     assert d_loss == pytest.approx(want, rel=1e-12)
 
 
+def test_objectives_given_the_step_passes_match_their_own():
+    cfg, gen, disc, gp, dp, x_in, x_sig, y = _mini_setup(seed=13, dtype=np.float32)
+    g_pass = N.forward_network(gen, gp, x_in, want_cache=True)
+    fake = g_pass[0]
+    fake_pass = N.forward_network(disc, dp, np.concatenate([x_sig, fake], axis=1),
+                                  want_cache=True)
+    shared_d = discriminator_objective(disc, dp, x_sig, y, fake, fake_pass=fake_pass)
+    own_d = discriminator_objective(disc, dp, x_sig, y, fake)
+    shared_g = generator_objective(gen, gp, disc, dp, x_in, x_sig, y, cfg,
+                                   g_pass=g_pass, d_pass=fake_pass)
+    own_g = generator_objective(gen, gp, disc, dp, x_in, x_sig, y, cfg)
+    assert shared_d[0] == own_d[0]
+    assert shared_g[0] == own_g[0] and shared_g[1] == own_g[1]
+    for shared, own in ((shared_d[1], own_d[1]), (shared_g[2], own_g[2])):
+        for (w1, b1), (w2, b2) in zip(shared, own):
+            assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
+
+
 # -------------------------------------------------------------------- pairing
 
 def test_make_pairs_matches_conditions():
@@ -296,6 +317,41 @@ def test_iteration_units_agree_when_an_epoch_is_one_batch():
             for (w1, b1), (w2, b2) in zip(ce.gen_params, cb.gen_params):
                 assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
         assert by_epoch.metrics == by_batch.metrics
+
+
+def test_train_step_runs_generator_once_and_discriminator_twice(monkeypatch):
+    forward = N.forward_network
+    calls = {"gen": 0, "disc": 0}
+
+    def counted(spec, *args, **kwargs):
+        calls["gen" if spec.skips else "disc"] += 1
+        return forward(spec, *args, **kwargs)
+
+    monkeypatch.setattr(N, "forward_network", counted)
+    monkeypatch.setattr(G, "validation_loss", lambda *args: 0.0)
+    pairs = toy_pairs(8, 64, seed=1)
+    for steps in (1, 3):
+        calls.update(gen=0, disc=0)
+        train_opgan(pairs, toy_pairs(2, 64, seed=2),
+                    mini_cfg(max_iters=steps, iteration_unit="batch"))
+        assert calls == {"gen": steps, "disc": 2 * steps}
+
+
+def test_train_step_passes_do_not_outlive_the_step():
+    # a step's generator and fake-discriminator caches (about 73 MB at
+    # default widths and batch 8) must be freed before the next step runs
+    pairs = toy_pairs(8, S.SEGMENT_LEN, seed=1)
+    val = toy_pairs(2, S.SEGMENT_LEN, seed=2)
+    peaks = []
+    for steps in (1, 3):
+        tracemalloc.start()
+        try:
+            train_opgan(pairs, val, GanConfig(max_iters=steps, iteration_unit="batch",
+                                              checkpoint_every=100, seed=3))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_train_rejects_empty_sets():

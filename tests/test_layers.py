@@ -77,6 +77,23 @@ def test_powers_stacks_monomials():
     assert np.allclose(p[0, 0, 2], [8.0, -1.0, 0.125])
 
 
+@pytest.mark.parametrize("ch", [1, 2, 3, 8, 36])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_powers_bitwise_equal_to_repeated_products(ch, dtype):
+    # channel counts on both sides of POWERS_VOID_MAX_CH
+    rng = np.random.default_rng(ch)
+    x = rng.standard_normal((3, 37, ch)).astype(dtype)
+    for q_order in (1, 2, 3, 4):
+        stack = [x]
+        for _ in range(1, q_order):
+            stack.append(stack[-1] * x)
+        want = np.stack(stack, axis=2)
+        for arr in (x, np.asfortranarray(x)):
+            got = L.powers(arr, q_order)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
 def test_quadratic_single_tap_hand_value():
     # one sample, one tap, Q=2, unit weights: 0.5 + 0.5^2 = 0.75
     x = np.array([[0.5]], dtype=np.float32)

@@ -182,6 +182,8 @@ def test_segment_archive_round_trip(tmp_path):
         assert a.source_record == b.source_record
         assert a.index == b.index
         assert a.normalized == b.normalized
+        assert a.degenerate == b.degenerate
+        assert b.samples.dtype == np.float32
 
     with pytest.raises(ValueError):
         dataset.save_segments(str(tmp_path / "e.npz"), [])

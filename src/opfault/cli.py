@@ -1,7 +1,8 @@
 """Command line interface.
 
-Subcommands map one-to-one onto the library operations: gen-data,
-train-gan, synthesize, train-detector, evaluate, pipeline, inspect. Dataset
+Subcommands: gen-data, train-gan, synthesize, train-detector, evaluate,
+pipeline, inspect. The four stage commands call the stages that
+opfault.pipeline composes into `pipeline`, and write the same files. Dataset
 arguments accept either a directory path or the shorthand "synth:M1" /
 "synth:M2" for the built-in synthetic machines (generated with corpus seed 0
 so the shorthand always denotes the same data). Errors print a single
@@ -19,66 +20,63 @@ from . import dataset, model_io, synth
 from . import detector as D
 from . import gan as G
 from . import network as N
+from . import pipeline as P
 from .config import load_config
-from .detector import DetectorConfig
-from .gan import GanConfig
-from .pipeline import (TRAIN_FRACTION, PipelineError, build_source_pairs,
-                       run_pipeline, target_pools, write_outputs)
 
 
 def resolve_records(tag: str) -> list:
     if tag.startswith("synth:"):
-        name = tag.split(":", 1)[1]
-        if name not in synth.DEFAULT_MACHINES:
-            raise ValueError(f"unknown synthetic machine {name!r}; "
-                             f"choose from {sorted(synth.DEFAULT_MACHINES)}")
-        return synth.default_corpus(name, seed=0)
+        return synth.default_corpus(tag.split(":", 1)[1], seed=0)
     records, _ = dataset.load_dataset(tag)
     return records
 
 
 def _configs(args):
-    gan_cfg, det_cfg, popts = GanConfig(), DetectorConfig(), {}
+    """(gan config, detector config, split fraction, checkpoint mode): the
+    config file, then --seed and the checkpoint-mode flag over it, then the
+    defaults for whatever neither sets."""
+    gan_cfg, det_cfg, popts = G.GanConfig(), D.DetectorConfig(), {}
     if args.config:
         gan_cfg, det_cfg, popts = load_config(args.config)
     if args.seed is not None:
-        gan_cfg = replace(gan_cfg, seed=args.seed)
-        det_cfg = replace(det_cfg, seed=args.seed)
-    return gan_cfg, det_cfg, popts
+        gan_cfg, det_cfg = replace(gan_cfg, seed=args.seed), replace(det_cfg, seed=args.seed)
+    mode = getattr(args, "checkpoint_mode", None) or popts.get("checkpoint_mode", "loss")
+    return gan_cfg, det_cfg, popts.get("fraction", P.TRAIN_FRACTION), mode
 
 
-def _need_out(args, what="this command"):
+def _target_pools(tag: str, det_cfg: D.DetectorConfig, fraction: float):
+    """The target split, made as run_pipeline makes it."""
+    return P.target_pools(resolve_records(tag), det_cfg.segment_len, det_cfg.seed, fraction)
+
+
+def _need_out(args):
     if not args.out:
-        raise ValueError(f"{what} needs --out")
+        raise ValueError(f"{args.command} needs --out")
     os.makedirs(args.out, exist_ok=True)
     return args.out
 
 
+def _print_report(path: str, report: D.EvalReport) -> None:
+    print(f"report={path}")
+    for name, value in (("recall", report.overall_recall), ("far", report.segment_far),
+                        ("precision", report.record_precision)):
+        if value is not None:
+            print(f"{name}={value:.6f}")
+
+
 def cmd_gen_data(args) -> int:
-    out = _need_out(args, "gen-data")
-    name = args.machine.split(":", 1)[-1]
-    if name not in synth.DEFAULT_MACHINES:
-        raise ValueError(f"unknown synthetic machine {name!r}")
-    records = synth.default_corpus(name, seed=args.seed or 0)
+    out = _need_out(args)
+    records = synth.default_corpus(args.machine.split(":", 1)[-1], seed=args.seed)
     dataset.write_dataset(out, records)
     print(f"wrote {len(records)} records to {out}")
     return 0
 
 
 def cmd_train_gan(args) -> int:
-    out = _need_out(args, "train-gan")
-    gan_cfg, _, popts = _configs(args)
-    records = resolve_records(args.source)
-    seed = gan_cfg.seed
-    pairs, val_pairs, holdout = build_source_pairs(records, gan_cfg, seed)
-    result = G.train_opgan(pairs, val_pairs, gan_cfg)
-    mode = args.select or popts.get("checkpoint_mode", "loss")
-    chosen = G.select_checkpoint(result.checkpoints, val_pairs, mode=mode,
-                                 gan_cfg=gan_cfg, seed=seed)
-    model_io.save_model(os.path.join(out, "generator.sonn"),
-                        result.gen_spec, chosen.gen_params)
-    with open(os.path.join(out, "gan_metrics.csv"), "w") as f:
-        f.write(G.metrics_to_csv_text(result.metrics))
+    out = _need_out(args)
+    gan_cfg, _, _, mode = _configs(args)
+    result, chosen, holdout = P.train_gan(resolve_records(args.source), gan_cfg, mode)
+    P.write_gan(out, result, chosen)
     print(f"holdout_speed={holdout}")
     print(f"checkpoint_iteration={chosen.iteration}")
     print(f"checkpoint_val_loss={chosen.val_loss!r}")
@@ -88,15 +86,11 @@ def cmd_train_gan(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    out = _need_out(args, "synthesize")
-    gan_cfg, det_cfg, popts = _configs(args)
+    out = _need_out(args)
+    gan_cfg, det_cfg, fraction, _ = _configs(args)
     spec, params = model_io.load_model(args.model)
-    records = resolve_records(args.data)
-    # split as train-detector and evaluate do, so no test segment is synthesized from
-    train_pool, _, _ = target_pools(records, spec.input_len, det_cfg.seed,
-                                    fraction=popts.get("fraction", TRAIN_FRACTION))
-    segments = G.synthesize_faults(spec, params, train_pool, seed=gan_cfg.seed,
-                                   noise_channels=spec.layers[0].in_channels - 1)
+    train_pool, _, _ = _target_pools(args.data, det_cfg, fraction)
+    segments = G.synthesize_faults(spec, params, train_pool, seed=gan_cfg.seed)
     path = os.path.join(out, "synthetic_segments.npz")
     dataset.save_segments(path, segments)
     print(f"wrote {len(segments)} synthetic segments to {path}")
@@ -104,55 +98,32 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_train_detector(args) -> int:
-    out = _need_out(args, "train-detector")
-    gan_cfg, det_cfg, popts = _configs(args)
-    records = resolve_records(args.healthy)
-    train_pool, _, _ = target_pools(records, det_cfg.segment_len, det_cfg.seed,
-                                    fraction=popts.get("fraction", TRAIN_FRACTION))
+    out = _need_out(args)
+    _, det_cfg, fraction, _ = _configs(args)
+    train_pool, _, _ = _target_pools(args.healthy, det_cfg, fraction)
     synthetic = dataset.load_segments(args.synthetic)
-    params = D.train_detector(train_pool, synthetic, det_cfg)
-    model_io.save_model(os.path.join(out, "detector.sonn"),
-                        D.build_detector(det_cfg), params)
+    P.write_detector(out, *P.train_detector(train_pool, synthetic, det_cfg))
     print(f"trained on {len(train_pool)} healthy + {len(synthetic)} synthetic")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    out = _need_out(args, "evaluate")
-    gan_cfg, det_cfg, popts = _configs(args)
+    out = _need_out(args)
+    _, det_cfg, fraction, _ = _configs(args)
     spec, params = model_io.load_model(args.model)
-    records = resolve_records(args.data)
-    _, test_pool, faulty = target_pools(records, spec.input_len, det_cfg.seed,
-                                        fraction=popts.get("fraction", TRAIN_FRACTION))
+    _, test_pool, faulty = _target_pools(args.data, det_cfg, fraction)
     report = D.evaluate(spec, params, test_pool, faulty)
-    path = os.path.join(out, "report.csv")
-    with open(path, "w") as f:
-        f.write(report.to_csv_text())
-    print(f"report={path}")
-    if report.overall_recall is not None:
-        print(f"recall={report.overall_recall:.6f}")
-    if report.segment_far is not None:
-        print(f"far={report.segment_far:.6f}")
+    _print_report(P.write_report(out, report), report)
     return 0
 
 
 def cmd_pipeline(args) -> int:
-    out = _need_out(args, "pipeline")
-    gan_cfg, det_cfg, popts = _configs(args)
-    source = resolve_records(args.source)
-    target = resolve_records(args.target)
-    mode = args.checkpoint_mode or popts.get("checkpoint_mode", "loss")
-    result = run_pipeline(source, target, gan_cfg, det_cfg,
-                          seed=args.seed,
-                          checkpoint_mode=mode, out_dir=out,
-                          fraction=popts.get("fraction", TRAIN_FRACTION))
-    print(f"report={result.paths['report']}")
-    if result.report.overall_recall is not None:
-        print(f"recall={result.report.overall_recall:.6f}")
-    if result.report.segment_far is not None:
-        print(f"far={result.report.segment_far:.6f}")
-    if result.report.record_precision is not None:
-        print(f"precision={result.report.record_precision:.6f}")
+    out = _need_out(args)
+    gan_cfg, det_cfg, fraction, mode = _configs(args)
+    result = P.run_pipeline(resolve_records(args.source), resolve_records(args.target),
+                            gan_cfg, det_cfg, seed=args.seed, checkpoint_mode=mode,
+                            out_dir=out, fraction=fraction)
+    _print_report(result.paths["report"], result.report)
     return 0
 
 
@@ -164,55 +135,58 @@ def cmd_inspect(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="override every config seed")
-    common.add_argument("--config", default=None,
-                        help="key=value config file (gan.*, detector.*, pipeline.*)")
-    common.add_argument("--out", default=None, help="output directory")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output directory")
+    stage = argparse.ArgumentParser(add_help=False, parents=[out])
+    stage.add_argument("--seed", type=int, default=None,
+                       help="override every config seed")
+    stage.add_argument("--config", default=None,
+                       help="key=value config file (gan.*, detector.*, pipeline.*)")
 
     p = argparse.ArgumentParser(prog="opfault",
                                 description="zero-shot bearing fault detection")
     sub = p.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("gen-data", parents=[common],
+    q = sub.add_parser("gen-data", parents=[out],
                        help="write a synthetic machine corpus to --out")
     q.add_argument("--machine", required=True, help="M1, M2 or synth:M1 form")
+    q.add_argument("--seed", type=int, default=0,
+                   help="corpus seed (default 0, the corpus synth:M1/synth:M2 name)")
     q.set_defaults(fn=cmd_gen_data)
 
-    q = sub.add_parser("train-gan", parents=[common],
+    q = sub.add_parser("train-gan", parents=[stage],
                        help="train the healthy->faulty generator on a source corpus")
     q.add_argument("--source", required=True, help="dataset dir or synth:M1")
-    q.add_argument("--select", choices=("loss", "detection"), default=None)
+    q.add_argument("--select", dest="checkpoint_mode", choices=("loss", "detection"),
+                   default=None)
     q.set_defaults(fn=cmd_train_gan)
 
-    q = sub.add_parser("synthesize", parents=[common],
+    q = sub.add_parser("synthesize", parents=[stage],
                        help="generate faulty segments from a target corpus")
     q.add_argument("--model", required=True, help="generator .sonn file")
     q.add_argument("--data", required=True, help="target dataset dir or synth:M2")
     q.set_defaults(fn=cmd_synthesize)
 
-    q = sub.add_parser("train-detector", parents=[common],
+    q = sub.add_parser("train-detector", parents=[stage],
                        help="train the detector on real-healthy + synthetic faults")
     q.add_argument("--healthy", required=True, help="target dataset dir or synth:M2")
     q.add_argument("--synthetic", required=True, help="segment archive (.npz)")
     q.set_defaults(fn=cmd_train_detector)
 
-    q = sub.add_parser("evaluate", parents=[common],
+    q = sub.add_parser("evaluate", parents=[stage],
                        help="score a detector on held-out target data")
     q.add_argument("--model", required=True, help="detector .sonn file")
     q.add_argument("--data", required=True, help="target dataset dir or synth:M2")
     q.set_defaults(fn=cmd_evaluate)
 
-    q = sub.add_parser("pipeline", parents=[common],
+    q = sub.add_parser("pipeline", parents=[stage],
                        help="run all four stages source -> target")
     q.add_argument("--source", required=True)
     q.add_argument("--target", required=True)
     q.add_argument("--checkpoint-mode", choices=("loss", "detection"), default=None)
     q.set_defaults(fn=cmd_pipeline)
 
-    q = sub.add_parser("inspect", parents=[common],
-                       help="print a model's layer spec and parameter count")
+    q = sub.add_parser("inspect", help="print a model's layer spec and parameter count")
     q.add_argument("model")
     q.set_defaults(fn=cmd_inspect)
     return p
@@ -222,7 +196,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, PipelineError) as e:
+    except (ValueError, OSError, P.PipelineError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

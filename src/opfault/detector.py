@@ -204,10 +204,6 @@ def recall_from_counts(detected, totals) -> float:
     return det / tot
 
 
-def percent(x: float, decimals: int = 2) -> str:
-    return f"{100.0 * x:.{decimals}f}"
-
-
 def report_from_counts(per_sensor_detected, per_sensor_totals,
                        misclassified_segments: int, total_segments: int,
                        false_positive_records: int = 0, sensors=None) -> EvalReport:

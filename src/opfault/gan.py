@@ -396,11 +396,11 @@ def metrics_to_csv_text(rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def synthesize_faults(gen_spec, gen_params, healthy_segments: list, seed: int = 0,
-                      noise_channels: int = 1) -> list:
+def synthesize_faults(gen_spec, gen_params, healthy_segments: list, seed: int = 0) -> list:
     """Run the generator over normalized healthy segments; one clamped
     synthetic faulty segment per input, working condition carried over.
-    One pass over all of them: forward_network blocks its rows."""
+    The generator's input channels beyond the signal are noise. One pass
+    over all of them: forward_network blocks its rows."""
     if not healthy_segments:
         raise ValueError("no healthy segments to synthesize from")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5F0]))
@@ -409,7 +409,8 @@ def synthesize_faults(gen_spec, gen_params, healthy_segments: list, seed: int = 
         if not s.normalized:
             raise ValueError("synthesis inputs must be normalized segments")
         x_sig[j, 0] = s.samples
-    g_out = N.forward_network(gen_spec, gen_params, _with_noise(x_sig, noise_channels, rng))
+    x_in = _with_noise(x_sig, gen_spec.layers[0].in_channels - 1, rng)
+    g_out = N.forward_network(gen_spec, gen_params, x_in)
     g_out = np.clip(g_out[:, 0, :], -1.0, 1.0)
     return [S.Segment(samples=g_out[j].astype(np.float32), condition=s.condition,
                       source_record=f"synth:{s.source_record}", index=s.index,
@@ -430,8 +431,7 @@ def checkpoint_detection_score(gen_spec, gen_params, val_pairs: list,
                     for p in val_pairs}.values())
     faulty = list({(p.faulty.source_record, p.faulty.index): p.faulty
                    for p in val_pairs}.values())
-    synthetic = synthesize_faults(gen_spec, gen_params, healthy, seed=seed,
-                                  noise_channels=cfg.noise_channels)
+    synthetic = synthesize_faults(gen_spec, gen_params, healthy, seed=seed)
     if detector_cfg is None:
         detector_cfg = D.DetectorConfig(epochs=8, seed=seed,
                                         segment_len=cfg.segment_len)

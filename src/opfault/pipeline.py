@@ -6,13 +6,15 @@ synthesizes faulty segments from 71% of the target machine's healthy
 segments. Stage 3 trains the compact detector on that 71% real-healthy pool
 plus the synthetic faults. Stage 4 evaluates on the remaining 29% healthy
 segments and every real faulty record of the target machine. No target fault
-data is ever seen before stage 4.
+data is ever seen before stage 4. run_pipeline composes the stages defined
+here, and the CLI stage commands call them one at a time.
 """
 
 from __future__ import annotations
 
 import os
 import platform
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -23,7 +25,6 @@ from . import gan as G
 from . import network as N
 from .dataset import healthy_faulty_split, records_to_segments, split_segments
 
-STAGES = ("train-gan", "synthesize", "train-detector", "evaluate")
 TRAIN_FRACTION = 0.71  # share of target healthy segments for synthesis and training
 
 
@@ -66,6 +67,30 @@ def target_pools(records: list, segment_len: int, seed: int,
     return train_pool, test_pool, faulty
 
 
+def train_gan(source_records: list, gan_cfg: G.GanConfig, checkpoint_mode: str):
+    """Stage 1: train the Op-GAN on the source pairs and pick the checkpoint
+    to ship. Returns (GanTrainResult, Checkpoint, held-out speed)."""
+    pairs, val_pairs, holdout = build_source_pairs(source_records, gan_cfg, gan_cfg.seed)
+    result = G.train_opgan(pairs, val_pairs, gan_cfg)
+    checkpoint = G.select_checkpoint(result.checkpoints, val_pairs, mode=checkpoint_mode,
+                                     gan_cfg=gan_cfg, seed=gan_cfg.seed)
+    return result, checkpoint, holdout
+
+
+def train_detector(train_pool: list, synthetic: list, det_cfg: D.DetectorConfig):
+    """Stage 3: train the detector on the target's training pool plus the
+    synthetic faults. Every synthetic fault must have been made from a
+    segment of that pool, or held-out segments would have fed training.
+    Returns (spec, params)."""
+    pool = {(s.source_record, s.index) for s in train_pool}
+    stray = sum((str(s.source_record).removeprefix("synth:"), s.index) not in pool
+                for s in synthetic)
+    if stray:
+        raise ValueError(f"{stray} of {len(synthetic)} synthetic segments come from outside "
+                         "this split's training pool (detector.seed, pipeline.fraction)")
+    return D.build_detector(det_cfg), D.train_detector(train_pool, synthetic, det_cfg)
+
+
 @dataclass
 class PipelineResult:
     report: D.EvalReport
@@ -75,6 +100,15 @@ class PipelineResult:
     det_params: list
     det_spec: object
     paths: dict
+
+
+@contextmanager
+def _stage(name: str):
+    """Tag any failure inside the block with the stage name."""
+    try:
+        yield
+    except Exception as e:
+        raise PipelineError(name, str(e)) from e
 
 
 def _ledger_text(gan_cfg, det_cfg, seed, mode, checkpoint,
@@ -108,56 +142,33 @@ def _ledger_text(gan_cfg, det_cfg, seed, mode, checkpoint,
 
 
 def run_pipeline(source_records: list, target_records: list,
-                 gan_cfg: G.GanConfig | None = None,
-                 det_cfg: D.DetectorConfig | None = None,
+                 gan_cfg: G.GanConfig, det_cfg: D.DetectorConfig,
                  seed: int | None = None, checkpoint_mode: str = "loss",
                  out_dir: str | None = None,
                  fraction: float = TRAIN_FRACTION) -> PipelineResult:
-    """End-to-end run. An int seed overrides both config seeds so one number
-    pins every random choice; with None, the GAN stages draw from gan.seed
-    and the target split and detector from detector.seed, as the stage
-    commands do. Stage failures raise PipelineError tagged with the stage
-    name; a GAN divergence is not fatal, the last good checkpoint carries
-    the remaining stages."""
-    gan_cfg = gan_cfg or G.GanConfig()
-    det_cfg = det_cfg or D.DetectorConfig()
+    """End-to-end run: the four stages in order. An int seed overrides both
+    config seeds so one number pins every random choice; with None, the GAN
+    stages draw from gan.seed and the target split and detector from
+    detector.seed, as the stage commands do. Stage failures raise
+    PipelineError tagged with the stage name; a GAN divergence is not fatal,
+    the last good checkpoint carries the remaining stages."""
     if seed is not None:
         gan_cfg, det_cfg = replace(gan_cfg, seed=seed), replace(det_cfg, seed=seed)
     gan_cfg, det_cfg = gan_cfg.validate(), det_cfg.validate()
     if det_cfg.segment_len != gan_cfg.segment_len:
         raise PipelineError("config", "generator and detector segment_len differ")
 
-    try:
-        pairs, val_pairs, holdout = build_source_pairs(source_records, gan_cfg,
-                                                       gan_cfg.seed)
-        gan_result = G.train_opgan(pairs, val_pairs, gan_cfg)
-        checkpoint = G.select_checkpoint(
-            gan_result.checkpoints, val_pairs, mode=checkpoint_mode,
-            gan_cfg=gan_cfg, seed=gan_cfg.seed)
-    except PipelineError:
-        raise
-    except Exception as e:
-        raise PipelineError(STAGES[0], str(e)) from e
-
-    try:
+    with _stage("train-gan"):
+        gan_result, checkpoint, holdout = train_gan(source_records, gan_cfg, checkpoint_mode)
+    with _stage("synthesize"):
         train_pool, test_pool, target_faulty = target_pools(
             target_records, det_cfg.segment_len, det_cfg.seed, fraction=fraction)
         synthetic = G.synthesize_faults(gan_result.gen_spec, checkpoint.gen_params,
-                                        train_pool, seed=gan_cfg.seed,
-                                        noise_channels=gan_cfg.noise_channels)
-    except Exception as e:
-        raise PipelineError(STAGES[1], str(e)) from e
-
-    try:
-        det_params = D.train_detector(train_pool, synthetic, det_cfg)
-        det_spec = D.build_detector(det_cfg)
-    except Exception as e:
-        raise PipelineError(STAGES[2], str(e)) from e
-
-    try:
+                                        train_pool, seed=gan_cfg.seed)
+    with _stage("train-detector"):
+        det_spec, det_params = train_detector(train_pool, synthetic, det_cfg)
+    with _stage("evaluate"):
         report = D.evaluate(det_spec, det_params, test_pool, target_faulty)
-    except Exception as e:
-        raise PipelineError(STAGES[3], str(e)) from e
 
     ledger = _ledger_text(gan_cfg, det_cfg, seed, checkpoint_mode, checkpoint,
                           gan_result.diverged, holdout,
@@ -166,27 +177,41 @@ def run_pipeline(source_records: list, target_records: list,
                             gan_result=gan_result, checkpoint=checkpoint,
                             det_params=det_params, det_spec=det_spec, paths={})
     if out_dir is not None:
-        result.paths = write_outputs(result, gan_cfg, det_cfg, out_dir)
+        result.paths = write_outputs(result, out_dir)
     return result
 
 
-def write_outputs(result: PipelineResult, gan_cfg: G.GanConfig,
-                  det_cfg: D.DetectorConfig, out_dir: str) -> dict:
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "report": os.path.join(out_dir, "report.csv"),
-        "generator": os.path.join(out_dir, "generator.sonn"),
-        "detector": os.path.join(out_dir, "detector.sonn"),
-        "gan_metrics": os.path.join(out_dir, "gan_metrics.csv"),
-        "ledger": os.path.join(out_dir, "run_ledger.txt"),
-    }
-    with open(paths["report"], "w") as f:
-        f.write(result.report.to_csv_text())
-    model_io.save_model(paths["generator"], result.gan_result.gen_spec,
-                        result.checkpoint.gen_params)
-    model_io.save_model(paths["detector"], result.det_spec, result.det_params)
-    with open(paths["gan_metrics"], "w") as f:
-        f.write(G.metrics_to_csv_text(result.gan_result.metrics))
-    with open(paths["ledger"], "w") as f:
-        f.write(result.ledger_text)
+# One writer per artifact, shared by write_outputs and the stage commands.
+
+def _write_text(path: str, text: str) -> str:
+    with open(path, "w") as f:
+        f.write(text)
+    return path
+
+
+def write_report(out_dir: str, report: D.EvalReport) -> str:
+    return _write_text(os.path.join(out_dir, "report.csv"), report.to_csv_text())
+
+
+def write_gan(out_dir: str, gan_result: G.GanTrainResult, checkpoint: G.Checkpoint) -> dict:
+    """generator.sonn holds the chosen checkpoint; gan_metrics.csv the curves."""
+    paths = {"generator": os.path.join(out_dir, "generator.sonn"),
+             "gan_metrics": os.path.join(out_dir, "gan_metrics.csv")}
+    model_io.save_model(paths["generator"], gan_result.gen_spec, checkpoint.gen_params)
+    _write_text(paths["gan_metrics"], G.metrics_to_csv_text(gan_result.metrics))
     return paths
+
+
+def write_detector(out_dir: str, det_spec, det_params: list) -> str:
+    path = os.path.join(out_dir, "detector.sonn")
+    model_io.save_model(path, det_spec, det_params)
+    return path
+
+
+def write_outputs(result: PipelineResult, out_dir: str) -> dict:
+    os.makedirs(out_dir, exist_ok=True)
+    return {"report": write_report(out_dir, result.report),
+            **write_gan(out_dir, result.gan_result, result.checkpoint),
+            "detector": write_detector(out_dir, result.det_spec, result.det_params),
+            "ledger": _write_text(os.path.join(out_dir, "run_ledger.txt"),
+                                  result.ledger_text)}

@@ -61,6 +61,11 @@ def frame_count(length: int, window: int, hop: int) -> int:
     return 1 + (length - window) // hop
 
 
+def percent(x: float, decimals: int = 2) -> str:
+    """A rate as the percentage string the paper's tables print."""
+    return f"{100.0 * x:.{decimals}f}"
+
+
 def mse_loss(a: np.ndarray, b: np.ndarray) -> float:
     """Mean squared difference between two equally shaped buffers."""
     a = np.asarray(a)

@@ -20,7 +20,7 @@ from opfault import network as N
 from opfault import signal as S
 from opfault.dataset import WorkingCondition
 from opfault.detector import (FAULTY, HEALTHY, DetectorConfig, build_detector,
-                              classify_matrix, percent, record_label,
+                              classify_matrix, record_label,
                               report_from_counts, train_detector)
 from opfault.gan import (GanConfig, TrainPair, build_discriminator,
                          build_generator, discriminator_objective,
@@ -30,7 +30,7 @@ from opfault.pipeline import run_pipeline
 from opfault.synth import default_corpus
 
 from _utils import (CRITERION_10_FILES, criterion_10_run, frame_count, naive_dft,
-                    numerical_grad, rel_err)
+                    numerical_grad, percent, rel_err)
 
 
 # ------------------------------------------------------------------ references

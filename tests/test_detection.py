@@ -10,10 +10,12 @@ from opfault.dataset import Record, WorkingCondition
 from opfault.detector import (DetectorConfig, EvalReport, build_detector,
                               classify_segment,
                               classify_segments, evaluate,
-                              init_detector_params, percent, record_label,
+                              init_detector_params, record_label,
                               recall_from_counts, report_from_counts,
                               train_detector)
 from opfault.signal import Segment, normalize_segment
+
+from _utils import percent
 
 
 def mini_cfg(**kw):

@@ -204,6 +204,13 @@ def _write_micro_sets(tmp_path):
     return src_dir, tgt_dir, str(cfg)
 
 
+def _untrained_generator(tmp_path) -> str:
+    spec = build_generator(GanConfig(gen_width=4, q=2))
+    model = str(tmp_path / "generator.sonn")
+    model_io.save_model(model, spec, N.init_params(spec, np.random.default_rng(0)))
+    return model
+
+
 def test_cli_resolve_records():
     assert len(resolve_records("synth:M1")) == 42
     with pytest.raises(ValueError):
@@ -277,9 +284,7 @@ def test_cli_synthesize_splits_with_detector_seed(tmp_path):
     _, tgt_dir, cfg = _write_micro_sets(tmp_path)
     seeds = tmp_path / "seeds.cfg"
     seeds.write_text(Path(cfg).read_text() + "gan.seed=7\ndetector.seed=8\n")
-    spec = build_generator(GanConfig(gen_width=4, q=2))
-    model = str(tmp_path / "generator.sonn")
-    model_io.save_model(model, spec, N.init_params(spec, np.random.default_rng(0)))
+    model = _untrained_generator(tmp_path)
     syn_out = tmp_path / "syn"
     assert main(["synthesize", "--model", model, "--data", tgt_dir,
                  "--config", str(seeds), "--out", str(syn_out)]) == 0
@@ -288,6 +293,28 @@ def test_cli_synthesize_splits_with_detector_seed(tmp_path):
     _, test_pool, _ = target_pools(records, 4096, seed=8)  # what evaluate holds out
     inputs = {(s.source_record.removeprefix("synth:"), s.index) for s in synthetic}
     assert inputs and not inputs & {(s.source_record, s.index) for s in test_pool}
+
+
+def test_cli_train_detector_rejects_an_archive_from_another_split(tmp_path, capsys):
+    _, tgt_dir, cfg = _write_micro_sets(tmp_path)
+    model = _untrained_generator(tmp_path)
+    syn_out = tmp_path / "syn"
+    assert main(["synthesize", "--model", model, "--data", tgt_dir, "--config", cfg,
+                 "--seed", "1", "--out", str(syn_out)]) == 0
+    capsys.readouterr()
+    # seed 2 holds out segments that the seed-1 archive was synthesized from
+    assert main(["train-detector", "--healthy", tgt_dir,
+                 "--synthetic", str(syn_out / "synthetic_segments.npz"), "--config", cfg,
+                 "--seed", "2", "--out", str(tmp_path / "det")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "det" / "detector.sonn").exists()
+
+
+def test_cli_inspect_takes_no_seed(tmp_path):
+    model = _untrained_generator(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["inspect", "--seed", "3", model])
+    assert exc.value.code == 2
 
 
 def test_cli_error_contract(tmp_path, capsys):
@@ -309,7 +336,8 @@ def test_cli_error_contract(tmp_path, capsys):
 def test_cli_pipeline_without_seed_keeps_both_config_seeds(tmp_path):
     src_dir, tgt_dir, cfg = _write_micro_sets(tmp_path)
     seeds = tmp_path / "seeds.cfg"
-    seeds.write_text(Path(cfg).read_text() + "gan.seed=7\ndetector.seed=8\n")
+    seeds.write_text(Path(cfg).read_text()
+                     + "gan.seed=7\ndetector.seed=8\npipeline.fraction=0.6\n")
     run, ev = tmp_path / "run", tmp_path / "eval"
     assert main(["pipeline", "--source", src_dir, "--target", tgt_dir,
                  "--config", str(seeds), "--out", str(run)]) == 0
@@ -319,6 +347,19 @@ def test_cli_pipeline_without_seed_keeps_both_config_seeds(tmp_path):
     assert main(["evaluate", "--model", str(run / "detector.sonn"), "--data", tgt_dir,
                  "--config", str(seeds), "--out", str(ev)]) == 0
     assert (ev / "report.csv").read_bytes() == (run / "report.csv").read_bytes()
+
+    # the four stage commands write the same models, curves and report
+    stages = tmp_path / "stages"
+    common = ["--config", str(seeds), "--out", str(stages)]
+    assert main(["train-gan", "--source", src_dir, *common]) == 0
+    assert main(["synthesize", "--model", str(stages / "generator.sonn"),
+                 "--data", tgt_dir, *common]) == 0
+    assert main(["train-detector", "--healthy", tgt_dir,
+                 "--synthetic", str(stages / "synthetic_segments.npz"), *common]) == 0
+    assert main(["evaluate", "--model", str(stages / "detector.sonn"),
+                 "--data", tgt_dir, *common]) == 0
+    for name in ("report.csv", "generator.sonn", "detector.sonn", "gan_metrics.csv"):
+        assert (stages / name).read_bytes() == (run / name).read_bytes(), name
 
 
 def test_ledger_records_the_environment_under_an_old_numpy(tmp_path, monkeypatch):
